@@ -124,7 +124,8 @@ docs:
 	PYTHONPATH=src $(PYTHON) tools/gen_api_docs.py > docs/API.md
 	@echo "docs/API.md regenerated"
 
-all: test vector-check bench-smoke fabric-check chaos-check bench examples
+# kernel-check's suites already run inside `test`.
+all: lint test vector-check fault-check bench-smoke serve-check fabric-check chaos-check bench examples
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null || true

@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_parallel, sweep
-from repro.engine import ResultCache, StageTimer
+from repro.engine import StageTimer, TieredCache
 from repro.transduction import BridgePlacement, bridge_average_stress
 
 RESONANT_STARTS = [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9]
@@ -63,7 +63,7 @@ def static_extent_point(extent, geometry) -> dict[str, float]:
 
 
 def build_resonant_placement_table(
-    geometry, workers: int = 1, cache: ResultCache | None = None
+    geometry, workers: int = 1, cache: TieredCache | None = None
 ):
     return run_parallel(
         "start_xi",
@@ -75,7 +75,7 @@ def build_resonant_placement_table(
 
 
 def build_static_extent_table(
-    geometry, workers: int = 1, cache: ResultCache | None = None
+    geometry, workers: int = 1, cache: TieredCache | None = None
 ):
     return run_parallel(
         "extent_xi",
@@ -88,7 +88,7 @@ def build_static_extent_table(
 
 def run_bench(
     workers: int = 1,
-    cache: ResultCache | None = None,
+    cache: TieredCache | None = None,
     quiet: bool = False,
 ) -> dict[str, float]:
     """Both placement tables through the engine; returns headline numbers."""

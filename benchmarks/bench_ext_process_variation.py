@@ -10,7 +10,7 @@ auto-gain absorbs the same spread without reconfiguration.
 
 Ported to the batch engine: the three Monte-Carlo cases fan out over a
 :class:`repro.engine.BatchExecutor` and memoize through a
-:class:`repro.engine.ResultCache` (``--workers``/``--no-cache``), and
+:class:`repro.engine.TieredCache` (``--workers``/``--no-cache``), and
 the parallel results are bit-identical to the serial ones because every
 case carries its own seed.
 
@@ -30,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.config import REFERENCE_CANTILEVER
-from repro.engine import BatchExecutor, ResultCache, StageTimer
+from repro.engine import BatchExecutor, StageTimer, TieredCache
 from repro.fabrication import (
     ProcessCorners,
     expected_frequency_spread,
@@ -64,7 +64,7 @@ def monte_carlo_case(case: str, samples: int = 80):
 def run_monte_carlo(
     workers: int = 1,
     samples: int = 80,
-    cache: ResultCache | None = None,
+    cache: TieredCache | None = None,
     timer: StageTimer | None = None,
 ):
     """All three cases through the engine; returns them in CASES order."""
@@ -92,7 +92,7 @@ def run_monte_carlo(
 def run_bench(
     workers: int = 1,
     samples: int = 80,
-    cache: ResultCache | None = None,
+    cache: TieredCache | None = None,
     quiet: bool = False,
 ) -> dict[str, float]:
     """Full bench through the engine; returns the headline numbers."""

@@ -9,7 +9,7 @@ the closed-loop lock — three independent paths to the same numbers.
 Ported to the batch engine: each liquid's characterization is an
 independent grid point, fanned out over a
 :class:`repro.engine.BatchExecutor` and memoized through a
-:class:`repro.engine.ResultCache` (``--workers``/``--no-cache``).
+:class:`repro.engine.TieredCache` (``--workers``/``--no-cache``).
 
 Shape targets:
 * swept-sine fit recovers the Sader-model f0 within 1% and Q within
@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import measure_resonance
-from repro.engine import BatchExecutor, ResultCache, StageTimer
+from repro.engine import BatchExecutor, StageTimer, TieredCache
 from repro.fluidics import immersed_mode
 from repro.materials import get_liquid
 from repro.mechanics import ModalResonator, analyze_modes
@@ -69,7 +69,7 @@ def characterize_grid(
     liquids,
     workers: int = 1,
     points: int = 31,
-    cache: ResultCache | None = None,
+    cache: TieredCache | None = None,
 ) -> dict[str, tuple]:
     """(fl, fit) per liquid through the engine, keyed by liquid name."""
     task = functools.partial(characterize_reference, points=points)
@@ -98,7 +98,7 @@ def characterize_grid(
 def run_bench(
     workers: int = 1,
     points: int = 31,
-    cache: ResultCache | None = None,
+    cache: TieredCache | None = None,
     quiet: bool = False,
 ) -> dict[str, float]:
     """Air + water bring-up through the engine; returns headline numbers."""

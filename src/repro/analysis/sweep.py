@@ -8,7 +8,7 @@ reports" output format required of the benchmark harness).
 Two execution paths share one result format: :func:`sweep` is the
 serial loop, :func:`run_parallel` fans the same grid out through
 :class:`repro.engine.BatchExecutor` (optionally memoized through a
-:class:`repro.engine.ResultCache`) and must return element-for-element
+:class:`repro.engine.TieredCache`) and must return element-for-element
 identical results — that determinism is the engine's contract and is
 pinned by ``tests/engine``.
 """
@@ -262,7 +262,7 @@ def run_parallel(
         picklable ``evaluate`` (module-level function or a
         ``functools.partial`` of one).
     cache:
-        Optional :class:`repro.engine.ResultCache`.  Hits skip the
+        Optional :class:`repro.engine.TieredCache`.  Hits skip the
         executor entirely; only the missing grid points are dispatched,
         and their results are stored back.  Keys include ``evaluate``'s
         qualified name and ``cache_extra`` (pass config objects the
@@ -390,7 +390,7 @@ def loop_headline(spec, record) -> dict:
     Module-level on purpose: the reduce function is part of the cache
     key (and must be picklable for process pools), so it needs a stable
     qualified name — closures and lambdas are rejected by
-    :class:`repro.engine.ResultCache`.
+    :class:`repro.engine.TieredCache`.
     """
     return {
         "amplitude_m": record.steady_amplitude(),
@@ -411,7 +411,7 @@ class LoopSweepTask:
     back per instance without poisoning the batch.
 
     The planner composes with the cache contract for free:
-    :func:`run_parallel` consults the :class:`repro.engine.ResultCache`
+    :func:`run_parallel` consults the :class:`repro.engine.TieredCache`
     *before* dispatching, so only uncached grid points ever enter the
     batch, and results fan back under the same spec-keyed entries the
     serial path writes.  A frozen dataclass (rather than a closure) so

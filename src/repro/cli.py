@@ -260,9 +260,9 @@ def cmd_sweep(args) -> int:
         return 0
     cache = None
     if args.cache_dir:
-        from .engine import ResultCache
+        from .engine import TieredCache
 
-        cache = ResultCache(args.cache_dir)
+        cache = TieredCache(args.cache_dir)
     result = run_spec_sweep(
         spec,
         args.path,
@@ -342,12 +342,12 @@ def _cache_info_dict(cache) -> dict:
         "hits": info.hits, "misses": info.misses, "stores": info.stores,
         "corruptions": info.corruptions,
     }
-    payload["tiers"] = [t.as_dict() for t in getattr(info, "tiers", ())]
+    payload["tiers"] = [t.as_dict() for t in info.tiers]
     return payload
 
 
 def cmd_health(args) -> int:
-    from .engine import breaker_report, cc_available, kernel_info, numba_available
+    from .engine import breaker_report, cc_available, kernel_info
 
     if args.url:
         import json
@@ -370,7 +370,6 @@ def cmd_health(args) -> int:
     print(f"compiler        : {'available' if cc_available() else 'absent'}")
     if info.cc_build_error:
         print(f"compiler error  : {info.cc_build_error}")
-    print(f"numba           : {'available' if numba_available() else 'absent'}")
     print(f"cc quarantined  : {'yes' if info.cc_quarantined else 'no'}")
     runs = " ".join(f"{k}={v}" for k, v in sorted(info.runs.items())) or "none"
     print(f"kernel runs     : {runs} (batch {info.batch_runs} / "
@@ -637,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default="auto",
-        choices=["auto", "reference", "fused", "numba", "interp"],
+        choices=["auto", "reference", "fused", "interp"],
         help="closed-loop execution backend (default: auto)",
     )
     _add_set_flag(p, "set_cmd")
@@ -668,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
              "capped by REPRO_KERNEL_THREADS)",
     )
     p.add_argument("--cache-dir", default=None, dest="cache_dir",
-                   help="ResultCache directory (spec-keyed memoization)")
+                   help="result-cache directory (spec-keyed memoization)")
     p.add_argument(
         "--retries", type=int, default=None,
         help="re-dispatch a crashed point up to N times "
@@ -698,7 +697,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="engine health: kernel state, breakers, cache integrity",
     )
     p.add_argument("--cache-dir", default=None, dest="cache_dir",
-                   help="also integrity-scan this ResultCache directory")
+                   help="also integrity-scan this result-cache directory")
     p.add_argument("--evict", action="store_true",
                    help="evict damaged cache entries found by the scan")
     p.add_argument("--json", action="store_true",
@@ -754,7 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", default=".repro_service/jobs.sqlite",
                    help="job-store location (path or sqlite:///path)")
     p.add_argument("--cache-dir", default=".repro_service/cache",
-                   dest="cache_dir", help="ResultCache directory shared by "
+                   dest="cache_dir", help="result-cache directory shared by "
                                           "all jobs (the dedup substrate)")
     p.add_argument("--pump-workers", type=int, default=1, dest="pump_workers",
                    help="concurrent jobs (per-job parallelism is separate)")

@@ -5,10 +5,9 @@ The scaling substrate under every sweep, bench, and array assay:
 * :class:`BatchExecutor` — fan a function out over a parameter grid
   (serial / thread / process backends, ordered results, per-task error
   capture);
-* :class:`ResultCache` — deterministic on-disk memoization keyed by a
-  stable content hash, with versioned invalidation and hit/miss
-  counters — and :class:`TieredCache`, its memory → sharded-disk →
-  remote-store extension with per-tier counters;
+* :class:`TieredCache` — deterministic, checksummed memoization keyed
+  by a stable content hash, with versioned invalidation, an in-process
+  LRU → sharded disk → optional remote store, and per-tier counters;
 * :mod:`~repro.engine.fabric` — the distributed sweep fabric:
   :class:`FabricWorker` nodes lease grid chunks from the service job
   store and stream results through the tiered cache
@@ -36,9 +35,7 @@ from .cache import (
     CacheInfo,
     FilesystemRemoteStore,
     HTTPRemoteStore,
-    ResultCache,
     TieredCache,
-    TieredCacheInfo,
     TierInfo,
     stable_hash,
 )
@@ -75,7 +72,6 @@ from .kernel import (
     kernel_batch_threads,
     kernel_info,
     lower_block,
-    numba_available,
     record_degrade,
     record_fallback,
     reset_compiler_probe,
@@ -136,14 +132,12 @@ __all__ = [
     "KernelRunResult",
     "KernelStage",
     "ModeLowering",
-    "ResultCache",
     "RetryPolicy",
     "StageTimer",
     "StageTiming",
     "TaskOutcome",
     "TierInfo",
     "TieredCache",
-    "TieredCacheInfo",
     "WorkerStats",
     "batch_signature",
     "arm_env_fault_plan",
@@ -157,7 +151,6 @@ __all__ = [
     "kernel_batch_threads",
     "kernel_info",
     "lower_block",
-    "numba_available",
     "poll_fault",
     "quarantined_backends",
     "record_degrade",

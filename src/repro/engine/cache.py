@@ -1,4 +1,4 @@
-"""Deterministic on-disk result cache for sweep and Monte-Carlo points.
+"""Deterministic, checksummed, tiered result cache for sweep points.
 
 Every simulation in this library is a pure function of its explicit
 parameters (geometry, process knobs, seeds) — which makes results
@@ -13,28 +13,27 @@ content hash of
 * the cache schema version, so bumping :data:`CACHE_VERSION` invalidates
   every old entry at once.
 
-Entries are pickle files written atomically (temp file + ``os.replace``)
-so a killed run never leaves a half-written entry.  The value itself is
-stored as an inner pickle blob with a SHA-256 integrity checksum, so a
+:class:`TieredCache` is the one cache class: an in-process LRU of
+encoded blobs, a local disk tier, and an optional *shared* remote store
+— filesystem-backed (:class:`FilesystemRemoteStore`, e.g. an NFS mount)
+or HTTP-backed against a running ``repro serve``
+(:class:`HTTPRemoteStore`).  Lookups fall through the tiers and
+*promote* on hit; every tier keeps its own hit/miss/store/promotion/
+eviction counters (:class:`TierInfo`) inside the aggregate
+:class:`CacheInfo`, so benches can *prove* a warm re-run skipped
+recomputation and fault tests can prove a corrupt entry was recomputed.
+
+On disk an entry lives at ``<directory>/<key[:SHARD_WIDTH]>/<key>.pkl``
+(sharded by hash prefix, so a million-entry grid does not put a million
+files in one directory), written atomically (temp file + ``os.replace``)
+so a killed run never leaves a half-written entry.  The value is stored
+as an inner pickle blob with a SHA-256 integrity checksum, so a
 bit-flipped or truncated file — whether it breaks the outer pickle or
 silently damages the payload — is *detected*, counted, evicted, and
-treated as a miss, never returned as data and never raised.  Hit/miss/
-corruption counters are exposed through :meth:`ResultCache.cache_info`
-so benches can *prove* a warm re-run skipped recomputation and fault
-tests can prove a corrupt entry was recomputed.
-
-:class:`TieredCache` extends the flat cache into a three-tier
-hierarchy for distributed sweeps: an in-process LRU of decoded blobs,
-a local disk tier sharded by hash prefix (so a million-entry grid does
-not put a million files in one directory), and an optional *shared*
-remote store — filesystem-backed (:class:`FilesystemRemoteStore`, e.g.
-an NFS mount) or HTTP-backed against a running ``repro serve``
-(:class:`HTTPRemoteStore`).  Entries flow downward on miss and are
-*promoted* upward on hit; every tier keeps its own hit/miss/store/
-promotion/eviction counters (:class:`TierInfo`) surfaced through
-:meth:`TieredCache.cache_info` and ``repro health``.  The remote tier
-transports the *outer checksummed payload* verbatim, so a damaged blob
-is detected at the receiving end exactly like a damaged local file.
+treated as a miss, never returned as data and never raised.  The remote
+tier transports the same outer checksummed payload verbatim, so a
+damaged blob is detected at the receiving end exactly like a damaged
+local file.
 """
 
 from __future__ import annotations
@@ -71,12 +70,55 @@ logger = logging.getLogger(__name__)
 #: 2: checksummed inner-blob payload layout (integrity verification).
 CACHE_VERSION = 2
 
+#: Hash-prefix length naming an entry's shard directory, shared by the
+#: disk tier and :class:`FilesystemRemoteStore`.
+SHARD_WIDTH = 2
+
 _MISSING = object()
 
 
 @dataclass(frozen=True)
+class TierInfo:
+    """Counters of one tier of a :class:`TieredCache`.
+
+    ``promotions`` counts entries copied *into* this tier after a hit in
+    a slower tier (memory gains one on every disk or remote hit; disk
+    gains one on every remote hit).  ``evictions`` counts LRU drops
+    (memory tier only).  ``errors`` counts failed remote round-trips —
+    the remote tier is best-effort and never fails a lookup or store.
+
+    The brownout counters are remote-tier only: ``trips`` counts
+    error-threshold trips into local-only mode, ``skips`` counts remote
+    round-trips elided while tripped, ``probes`` counts the periodic
+    recovery attempts, and ``pending`` is the current depth of the
+    write-behind queue holding entries stranded by the brownout (see
+    :meth:`TieredCache.flush_remote`).
+    """
+
+    name: str
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+    promotions: int = 0
+    evictions: int = 0
+    errors: int = 0
+    trips: int = 0
+    skips: int = 0
+    probes: int = 0
+    pending: int = 0
+
+    def as_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+
+@dataclass(frozen=True)
 class CacheInfo:
-    """Counters of one :class:`ResultCache` instance's activity."""
+    """Aggregate counters of one :class:`TieredCache` plus its tiers.
+
+    ``hits``/``misses``/``stores``/``corruptions`` count one per
+    :meth:`TieredCache.get` / :meth:`TieredCache.put`, whichever tier
+    served it; ``tiers`` holds the per-tier breakdown.
+    """
 
     hits: int = 0
     misses: int = 0
@@ -85,16 +127,27 @@ class CacheInfo:
     #: corruption is also counted as a miss, so hits+misses still totals
     #: the requests.
     corruptions: int = 0
+    tiers: tuple[TierInfo, ...] = ()
 
     @property
     def requests(self) -> int:
         """Total lookups (hits + misses)."""
         return self.hits + self.misses
 
+    def tier(self, name: str) -> TierInfo:
+        """The named tier's counters (``"memory"``/``"disk"``/``"remote"``)."""
+        for info in self.tiers:
+            if info.name == name:
+                return info
+        raise KeyError(f"no cache tier named {name!r}")
+
     def __str__(self) -> str:
+        parts = "".join(
+            f", {t.name}={t.hits}h/{t.misses}m" for t in self.tiers
+        )
         return (
             f"CacheInfo(hits={self.hits}, misses={self.misses}, "
-            f"stores={self.stores}, corruptions={self.corruptions})"
+            f"stores={self.stores}, corruptions={self.corruptions}{parts})"
         )
 
 
@@ -212,249 +265,27 @@ def _damage_file(path: Path, fault) -> None:
         path.write_bytes(raw[: len(raw) // 2])
 
 
-class ResultCache:
-    """On-disk memo table keyed by stable content hashes.
+def _shard_path(directory: Path, key: str) -> Path:
+    """Where ``key`` lives under a sharded cache ``directory``."""
+    return directory / key[:SHARD_WIDTH] / f"{key}.pkl"
 
-    Parameters
-    ----------
-    directory:
-        Cache directory (created on first store).  Defaults to the
-        ``REPRO_CACHE_DIR`` environment variable, else ``.repro_cache``
-        under the current working directory.
-    version:
-        Cache schema version folded into every key; defaults to
-        :data:`CACHE_VERSION`.  Bump to orphan all existing entries.
-    """
 
-    def __init__(
-        self, directory: str | os.PathLike | None = None,
-        version: int = CACHE_VERSION,
-    ) -> None:
-        root = directory or os.environ.get("REPRO_CACHE_DIR") or ".repro_cache"
-        self.directory = Path(root)
-        self.version = int(version)
-        self._hits = 0
-        self._misses = 0
-        self._stores = 0
-        self._corruptions = 0
-
-    # -- keys ----------------------------------------------------------------
-
-    def key_for(self, fn: Callable, parameter, extra=None) -> str:
-        """Cache key of one (function, parameter, context) evaluation."""
-        return stable_hash("repro-cache", self.version, fn, parameter, extra)
-
-    def _path_for(self, key: str) -> Path:
-        return self.directory / f"{key}.pkl"
-
-    # -- storage -------------------------------------------------------------
-
-    def get(self, key: str):
-        """Cached value for ``key``, or the ``MISS`` sentinel.
-
-        A missing, corrupted, or version-mismatched entry counts as a
-        miss; damaged files (broken pickle, wrong key, failed checksum)
-        additionally count as corruptions and are evicted so the next
-        store is clean.  The ``cache.entry`` fault site damages the
-        on-disk file *before* the read, so injection exercises exactly
-        this recovery path.
-        """
-        path = self._path_for(key)
-        fault = poll_fault("cache.entry")
-        if fault is not None and path.is_file():
-            _damage_file(path, fault)
+def _atomic_write(path: Path, raw: bytes) -> None:
+    """Place ``raw`` at ``path`` atomically (temp file + ``os.replace``)."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=f".{path.stem[:16]}-", suffix=".tmp"
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(raw)
+        os.replace(tmp, path)
+    except BaseException:
         try:
-            with open(path, "rb") as fh:
-                payload = pickle.load(fh)
-            value = self._decode_payload(payload, key, path)
-        except FileNotFoundError:
-            self._misses += 1
-            return self.MISS
-        except Exception as err:
-            # corrupted / truncated / incompatible entry: evict + recompute
-            self._misses += 1
-            self._corruptions += 1
-            logger.warning("evicting corrupt cache entry %s: %s", path.name, err)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return self.MISS
-        self._hits += 1
-        return value
-
-    def _decode_payload(self, payload, key: str, path: Path):
-        """Validate one loaded payload dict; raises CacheError on damage."""
-        if (
-            not isinstance(payload, dict)
-            or payload.get("version") != self.version
-            or payload.get("key") != key
-        ):
-            raise CacheError(f"stale or foreign cache entry {path.name}")
-        blob = payload.get("blob")
-        if not isinstance(blob, bytes):
-            raise CacheError(f"malformed cache entry {path.name}")
-        if hashlib.sha256(blob).hexdigest() != payload.get("sha256"):
-            raise CacheError(f"checksum mismatch in cache entry {path.name}")
-        return pickle.loads(blob)
-
-    def put(self, key: str, value) -> None:
-        """Atomically persist ``value`` under ``key`` (checksummed)."""
-        self.directory.mkdir(parents=True, exist_ok=True)
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        payload = {
-            "version": self.version,
-            "key": key,
-            "blob": blob,
-            "sha256": hashlib.sha256(blob).hexdigest(),
-        }
-        fd, tmp = tempfile.mkstemp(
-            dir=self.directory, prefix=f".{key[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, self._path_for(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self._stores += 1
-
-    #: Sentinel returned by :meth:`get` for absent entries (never a value).
-    MISS = _MISSING
-
-    def get_or_compute(self, fn: Callable, parameter, extra=None):
-        """Memoized ``fn(parameter)``: load on hit, compute + store on miss."""
-        key = self.key_for(fn, parameter, extra)
-        value = self.get(key)
-        if value is not self.MISS:
-            return value
-        value = fn(parameter)
-        self.put(key, value)
-        return value
-
-    # -- introspection -------------------------------------------------------
-
-    def cache_info(self) -> CacheInfo:
-        """Hit/miss/store counters since this instance was created."""
-        return CacheInfo(
-            hits=self._hits,
-            misses=self._misses,
-            stores=self._stores,
-            corruptions=self._corruptions,
-        )
-
-    def verify(self, evict: bool = True) -> tuple[int, int]:
-        """Integrity-scan every entry: ``(intact, damaged)`` counts.
-
-        Damaged entries (unreadable pickle, checksum mismatch, wrong
-        schema version) are evicted when ``evict`` is true, so the next
-        lookup recomputes them.  Does not touch the hit/miss counters —
-        this is an audit, not a lookup.
-        """
-        intact = damaged = 0
-        if not self.directory.is_dir():
-            return (0, 0)
-        # rglob, not glob: scans both the flat layout and the sharded
-        # hash-prefix layout TieredCache writes, so one audit covers any
-        # directory regardless of which cache class produced it.
-        for path in sorted(self.directory.rglob("*.pkl")):
-            try:
-                with open(path, "rb") as fh:
-                    payload = pickle.load(fh)
-                self._decode_payload(payload, path.stem, path)
-                intact += 1
-            except Exception as err:
-                damaged += 1
-                logger.warning("cache entry %s is damaged: %s", path.name, err)
-                if evict:
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-        return (intact, damaged)
-
-    def clear(self) -> int:
-        """Delete every entry in the cache directory; returns the count."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.rglob("*.pkl"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-        return removed
-
-
-# -- tiered cache -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TierInfo:
-    """Counters of one tier of a :class:`TieredCache`.
-
-    ``promotions`` counts entries copied *into* this tier after a hit in
-    a slower tier (memory gains one on every disk or remote hit; disk
-    gains one on every remote hit).  ``evictions`` counts LRU drops
-    (memory tier only).  ``errors`` counts failed remote round-trips —
-    the remote tier is best-effort and never fails a lookup or store.
-
-    The brownout counters are remote-tier only: ``trips`` counts
-    error-threshold trips into local-only mode, ``skips`` counts remote
-    round-trips elided while tripped, ``probes`` counts the periodic
-    recovery attempts, and ``pending`` is the current depth of the
-    write-behind queue holding entries stranded by the brownout (see
-    :meth:`TieredCache.flush_remote`).
-    """
-
-    name: str
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    promotions: int = 0
-    evictions: int = 0
-    errors: int = 0
-    trips: int = 0
-    skips: int = 0
-    probes: int = 0
-    pending: int = 0
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclass(frozen=True)
-class TieredCacheInfo(CacheInfo):
-    """Aggregate counters plus the per-tier breakdown.
-
-    The inherited ``hits``/``misses``/``stores``/``corruptions`` keep
-    the flat-cache meaning (one count per :meth:`TieredCache.get` /
-    :meth:`TieredCache.put`, whichever tier served it), so every caller
-    written against :class:`CacheInfo` — warm-sweep asserts, the service
-    health snapshot, ``bench_report`` — reads a tiered cache unchanged.
-    """
-
-    tiers: tuple[TierInfo, ...] = ()
-
-    def tier(self, name: str) -> TierInfo:
-        """The named tier's counters (``"memory"``/``"disk"``/``"remote"``)."""
-        for info in self.tiers:
-            if info.name == name:
-                return info
-        raise KeyError(f"no cache tier named {name!r}")
-
-    def __str__(self) -> str:
-        parts = ", ".join(
-            f"{t.name}={t.hits}h/{t.misses}m" for t in self.tiers
-        )
-        return (
-            f"TieredCacheInfo(hits={self.hits}, misses={self.misses}, "
-            f"stores={self.stores}, corruptions={self.corruptions}, {parts})"
-        )
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 class _TierCounters:
@@ -488,13 +319,11 @@ class FilesystemRemoteStore:
     coordination beyond the filesystem's own rename atomicity.
     """
 
-    def __init__(self, directory: str | os.PathLike,
-                 shard_width: int = 2) -> None:
+    def __init__(self, directory: str | os.PathLike) -> None:
         self.directory = Path(directory)
-        self.shard_width = int(shard_width)
 
     def _path_for(self, key: str) -> Path:
-        return self.directory / key[: self.shard_width] / f"{key}.pkl"
+        return _shard_path(self.directory, key)
 
     def get(self, key: str) -> bytes | None:
         try:
@@ -503,21 +332,7 @@ class FilesystemRemoteStore:
             return None
 
     def put(self, key: str, raw: bytes) -> None:
-        path = self._path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(raw)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        _atomic_write(self._path_for(key), raw)
 
     def delete(self, key: str) -> None:
         try:
@@ -608,22 +423,22 @@ class HTTPRemoteStore:
         self._send(request)
 
 
-class TieredCache(ResultCache):
+class TieredCache:
     """Three-tier result cache: in-process LRU → sharded disk → remote.
 
     Lookups fall through memory → disk → remote and *promote* on hit, so
     a grid point computed on any node is one memory access on its next
-    use anywhere the tiers are shared.  Keys, payload layout, checksums,
-    and the ``cache.entry`` fault site are identical to
-    :class:`ResultCache` — a ``TieredCache`` pointed at an existing flat
-    cache directory still serves (and transparently re-shards) its
-    entries, and every result it stores remains readable by the base
-    class through :meth:`verify`.
+    use anywhere the tiers are shared.
 
     Parameters
     ----------
-    directory / version:
-        As :class:`ResultCache`.
+    directory:
+        Disk-tier directory (created on first store).  Defaults to the
+        ``REPRO_CACHE_DIR`` environment variable, else ``.repro_cache``
+        under the current working directory.
+    version:
+        Cache schema version folded into every key; defaults to
+        :data:`CACHE_VERSION`.  Bump to orphan all existing entries.
     memory_entries:
         LRU capacity of the in-process tier (0 disables it).  The tier
         holds encoded blobs, not live objects, so a hit always returns a
@@ -634,8 +449,6 @@ class TieredCache(ResultCache):
         bytes | None`` / ``put(key, raw)``).  Best-effort: a failing
         remote degrades to a two-tier cache, counted under
         ``tier("remote").errors``, and never raises into a sweep.
-    shard_width:
-        Hash-prefix length of the disk shard directories.
     remote_trip_threshold / remote_probe_interval:
         Brownout protection for the remote tier.  After
         ``remote_trip_threshold`` *consecutive* remote errors the tier
@@ -651,23 +464,22 @@ class TieredCache(ResultCache):
         the local disk tier already holds the entry).
     """
 
+    #: Sentinel returned by :meth:`get` for absent entries (never a value).
+    MISS = _MISSING
+
     def __init__(
         self, directory: str | os.PathLike | None = None,
         version: int = CACHE_VERSION, *,
         memory_entries: int = 256,
         remote=None,
-        shard_width: int = 2,
         remote_trip_threshold: int = 3,
         remote_probe_interval: int = 4,
         pending_limit: int = 1024,
     ) -> None:
-        super().__init__(directory, version)
         if memory_entries < 0:
             raise CacheError(
                 f"memory_entries must be >= 0, got {memory_entries}"
             )
-        if not 1 <= int(shard_width) <= 8:
-            raise CacheError(f"shard_width must be in 1..8, got {shard_width}")
         if remote_trip_threshold < 1:
             raise CacheError(
                 f"remote_trip_threshold must be >= 1, got {remote_trip_threshold}"
@@ -676,12 +488,15 @@ class TieredCache(ResultCache):
             raise CacheError(
                 f"remote_probe_interval must be >= 1, got {remote_probe_interval}"
             )
+        root = directory or os.environ.get("REPRO_CACHE_DIR") or ".repro_cache"
+        self.directory = Path(root)
+        self.version = int(version)
         self.memory_entries = int(memory_entries)
-        self.shard_width = int(shard_width)
         self.remote = remote
         self.remote_trip_threshold = int(remote_trip_threshold)
         self.remote_probe_interval = int(remote_probe_interval)
         self.pending_limit = int(pending_limit)
+        self._hits = self._misses = self._stores = self._corruptions = 0
         self._mem: OrderedDict[str, bytes] = OrderedDict()
         self._mem_lock = threading.Lock()
         self._remote_lock = threading.Lock()
@@ -695,14 +510,29 @@ class TieredCache(ResultCache):
             "remote": _TierCounters("remote"),
         }
 
-    # -- layout ---------------------------------------------------------------
+    # -- keys and layout ------------------------------------------------------
+
+    def key_for(self, fn: Callable, parameter, extra=None) -> str:
+        """Cache key of one (function, parameter, context) evaluation."""
+        return stable_hash("repro-cache", self.version, fn, parameter, extra)
 
     def _path_for(self, key: str) -> Path:
-        return self.directory / key[: self.shard_width] / f"{key}.pkl"
+        return _shard_path(self.directory, key)
 
-    def _flat_path_for(self, key: str) -> Path:
-        """Legacy flat-layout location (pre-tiering caches)."""
-        return self.directory / f"{key}.pkl"
+    def _decode_payload(self, payload, key: str):
+        """Validate one loaded payload dict; raises CacheError on damage."""
+        if (
+            not isinstance(payload, dict)
+            or payload.get("version") != self.version
+            or payload.get("key") != key
+        ):
+            raise CacheError(f"stale or foreign cache entry {key}.pkl")
+        blob = payload.get("blob")
+        if not isinstance(blob, bytes):
+            raise CacheError(f"malformed cache entry {key}.pkl")
+        if hashlib.sha256(blob).hexdigest() != payload.get("sha256"):
+            raise CacheError(f"checksum mismatch in cache entry {key}.pkl")
+        return pickle.loads(blob)
 
     # -- memory tier ----------------------------------------------------------
 
@@ -733,7 +563,15 @@ class TieredCache(ResultCache):
     # -- lookups --------------------------------------------------------------
 
     def get(self, key: str):
-        """Tier-walking lookup; same contract as :meth:`ResultCache.get`."""
+        """Cached value for ``key``, or the ``MISS`` sentinel.
+
+        Walks memory → disk → remote and promotes on hit.  A missing
+        entry is a miss; a damaged one (broken pickle, wrong key or
+        version, failed checksum) additionally counts as a corruption
+        and is evicted so the next store is clean.  The ``cache.entry``
+        fault site damages the disk file *before* the disk read, so
+        injection exercises exactly this recovery path.
+        """
         mem, disk, remote = (
             self._tiers["memory"], self._tiers["disk"], self._tiers["remote"]
         )
@@ -746,15 +584,13 @@ class TieredCache(ResultCache):
             mem.misses += 1
 
         path = self._path_for(key)
-        if not path.is_file() and self._flat_path_for(key).is_file():
-            path = self._flat_path_for(key)
         fault = poll_fault("cache.entry")
         if fault is not None and path.is_file():
             _damage_file(path, fault)
         try:
             with open(path, "rb") as fh:
                 payload = pickle.load(fh)
-            value = self._decode_payload(payload, key, path)
+            value = self._decode_payload(payload, key)
         except FileNotFoundError:
             disk.misses += 1
         except Exception as err:
@@ -769,15 +605,13 @@ class TieredCache(ResultCache):
             disk.hits += 1
             self._hits += 1
             self._mem_insert(key, payload["blob"], promotion=True)
-            if path.name == f"{key}.pkl" and path.parent == self.directory:
-                self._reshard(key, path)
             return value
 
         raw = self._remote_get(key)
         if raw is not None:
             try:
                 payload = pickle.loads(raw)
-                value = self._decode_payload(payload, key, Path(f"{key}.pkl"))
+                value = self._decode_payload(payload, key)
             except Exception as err:
                 self._corruptions += 1
                 self._remote_failed(key, err)
@@ -785,7 +619,7 @@ class TieredCache(ResultCache):
             else:
                 remote.hits += 1
                 self._hits += 1
-                self._write_raw(key, raw)
+                _atomic_write(path, raw)
                 disk.promotions += 1
                 self._mem_insert(key, payload["blob"], promotion=True)
                 return value
@@ -796,7 +630,7 @@ class TieredCache(ResultCache):
         return self.MISS
 
     def put(self, key: str, value) -> None:
-        """Write-through store: disk (atomic) + memory + remote."""
+        """Write-through store: disk (atomic, checksummed) + memory + remote."""
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         payload = {
             "version": self.version,
@@ -805,30 +639,22 @@ class TieredCache(ResultCache):
             "sha256": hashlib.sha256(blob).hexdigest(),
         }
         raw = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        self._write_raw(key, raw)
+        _atomic_write(self._path_for(key), raw)
         self._tiers["disk"].stores += 1
         self._stores += 1
         self._mem_insert(key, blob, promotion=False)
         if self.remote is not None:
             self._remote_put(key, raw)
 
-    def _write_raw(self, key: str, raw: bytes) -> None:
-        """Atomically place outer payload bytes at the sharded path."""
-        path = self._path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key[:16]}-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(raw)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+    def get_or_compute(self, fn: Callable, parameter, extra=None):
+        """Memoized ``fn(parameter)``: load on hit, compute + store on miss."""
+        key = self.key_for(fn, parameter, extra)
+        value = self.get(key)
+        if value is not self.MISS:
+            return value
+        value = fn(parameter)
+        self.put(key, value)
+        return value
 
     # -- remote tier: brownout gate + write-behind queue ----------------------
 
@@ -974,25 +800,14 @@ class TieredCache(ResultCache):
         with self._remote_lock:
             return len(self._pending_remote)
 
-    def _reshard(self, key: str, flat_path: Path) -> None:
-        """Migrate a legacy flat entry into its shard directory."""
-        try:
-            target = self.directory / key[: self.shard_width] / flat_path.name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(flat_path, target)
-        except OSError:
-            pass
-
     # -- raw entry transport (server blob API) --------------------------------
 
     def export_entry(self, key: str) -> bytes | None:
         """Outer payload bytes for ``key``, or None (no counters touched)."""
-        for path in (self._path_for(key), self._flat_path_for(key)):
-            try:
-                return path.read_bytes()
-            except FileNotFoundError:
-                continue
-        return None
+        try:
+            return self._path_for(key).read_bytes()
+        except FileNotFoundError:
+            return None
 
     def import_entry(self, key: str, raw: bytes) -> bool:
         """Accept uploaded payload bytes after validating the checksum.
@@ -1002,24 +817,22 @@ class TieredCache(ResultCache):
         misbehaving worker from poisoning a shared store.
         """
         try:
-            payload = pickle.loads(raw)
-            blob = self._decode_payload(payload, key, Path(f"{key}.pkl"))
+            self._decode_payload(pickle.loads(raw), key)
         except Exception as err:
             logger.warning("rejecting uploaded cache entry %s: %s", key, err)
             return False
-        del blob
-        self._write_raw(key, raw)
+        _atomic_write(self._path_for(key), raw)
         self._tiers["disk"].stores += 1
         self._stores += 1
         return True
 
     # -- introspection --------------------------------------------------------
 
-    def cache_info(self) -> TieredCacheInfo:
+    def cache_info(self) -> CacheInfo:
         """Aggregate + per-tier counters since this instance was created."""
         with self._remote_lock:
             pending = len(self._pending_remote)
-        return TieredCacheInfo(
+        return CacheInfo(
             hits=self._hits,
             misses=self._misses,
             stores=self._stores,
@@ -1031,7 +844,43 @@ class TieredCache(ResultCache):
             ),
         )
 
+    def verify(self, evict: bool = True) -> tuple[int, int]:
+        """Integrity-scan every disk entry: ``(intact, damaged)`` counts.
+
+        Damaged entries (unreadable pickle, checksum mismatch, wrong
+        schema version) are evicted when ``evict`` is true, so the next
+        lookup recomputes them.  Does not touch the hit/miss counters —
+        this is an audit, not a lookup.
+        """
+        intact = damaged = 0
+        if not self.directory.is_dir():
+            return (0, 0)
+        for path in sorted(self.directory.rglob("*.pkl")):
+            try:
+                with open(path, "rb") as fh:
+                    payload = pickle.load(fh)
+                self._decode_payload(payload, path.stem)
+                intact += 1
+            except Exception as err:
+                damaged += 1
+                logger.warning("cache entry %s is damaged: %s", path.name, err)
+                if evict:
+                    try:
+                        path.unlink()
+                    except OSError:
+                        pass
+        return (intact, damaged)
+
     def clear(self) -> int:
+        """Delete every entry (memory and disk); returns the disk count."""
         with self._mem_lock:
             self._mem.clear()
-        return super().clear()
+        removed = 0
+        if self.directory.is_dir():
+            for path in self.directory.rglob("*.pkl"):
+                try:
+                    path.unlink()
+                    removed += 1
+                except OSError:
+                    pass
+        return removed

@@ -76,7 +76,7 @@ class TaskOutcome:
     error: BaseException | None = None
     #: Retry attempts this task consumed before settling (0 = first try).
     retries: int = 0
-    #: True when the value was served from a :class:`ResultCache` rather
+    #: True when the value was served from a :class:`TieredCache` rather
     #: than computed (set by cache-aware callers, never by the executor).
     cached: bool = False
 

@@ -383,10 +383,7 @@ class FabricWorker:
         it requeues, and the re-run serves local hits and retries the
         push on a (hopefully) recovered tier.
         """
-        flush = getattr(self.cache, "flush_remote", None)
-        if flush is None:
-            return
-        pending = flush(force=True)
+        pending = self.cache.flush_remote(force=True)
         if pending:
             raise FabricError(
                 f"{pending} cached point(s) still unpushed to the remote "

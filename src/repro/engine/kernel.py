@@ -19,12 +19,10 @@ flat *stage program* and runs it in one allocation-free inner loop:
   Python inner loop generated from the program (no attribute lookups,
   no method dispatch, literal coefficients) — still several times the
   reference path;
-* the **numba** backend JIT-compiles a generic array interpreter of the
-  same program when :mod:`numba` is importable (auto-detected, never a
-  hard dependency);
-* the **interp** backend runs that same interpreter in pure Python —
-  slow, but it lets the test suite pin the interpreter's semantics
-  (what the C and numba engines compile) on any machine.
+* the **interp** backend runs the generic array interpreter of the
+  same program in pure Python — slow, but it lets the test suite pin
+  the interpreter's semantics (what the C engine compiles) on any
+  machine.
 
 Equivalence is the contract: each primitive replicates the reference
 ``step()`` arithmetic operation-for-operation, so the fused waveforms
@@ -47,7 +45,6 @@ import shutil
 import subprocess
 import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -87,7 +84,6 @@ __all__ = [
     "kernel_batch_threads",
     "kernel_info",
     "lower_block",
-    "numba_available",
     "record_batch",
     "record_batch_declined",
     "record_degrade",
@@ -120,15 +116,14 @@ OP_TAP_DRIVE = 12   # record v into the drive waveform
 _N_PARAMS = 5
 
 #: Loop-level backend choices accepted by ``run(..., backend=)``.
-BACKENDS = ("auto", "reference", "fused", "numba", "interp")
+BACKENDS = ("auto", "reference", "fused", "interp")
 
 #: Resolution order of ``backend="auto"``, pinned by regression tests:
-#: the C-compiled fused engine when a compiler exists, else numba when
-#: importable, else the generated-Python fused engine.  ``interp`` is
-#: *never* eligible — it exists to verify the interpreter's semantics
-#: and benches slower than the reference path it would replace
-#: (BENCH_fig5.json: 0.51x).
-AUTO_ORDER = ("fused:cc", "numba", "fused:codegen")
+#: the C-compiled fused engine when a compiler exists, else the
+#: generated-Python fused engine.  ``interp`` is *never* eligible — it
+#: exists to verify the interpreter's semantics and benches slower than
+#: the reference path it would replace (BENCH_fig5.json: 0.51x).
+AUTO_ORDER = ("fused:cc", "fused:codegen")
 
 #: Batch-level engine choices accepted by ``KernelBatch.run(engine=)``.
 #: ``row`` is the PR-4 pthreaded per-instance interpreter (bit-identical
@@ -246,7 +241,7 @@ class KernelRunInfo:
 
     ``engine`` names the machinery under the backend: ``"cc"`` (the
     C-compiled interpreter), ``"codegen"`` (generated Python source),
-    ``"numba"``, or ``"interp"`` (pure-Python interpreter).
+    or ``"interp"`` (pure-Python interpreter).
     """
 
     backend: str
@@ -277,26 +272,6 @@ class KernelRunResult:
     drive_voltage: np.ndarray
     mode_state: list[float]
     info: KernelRunInfo
-
-
-# -- numba auto-detection ---------------------------------------------------------
-
-_NUMBA_CHECKED = False
-_NUMBA = None
-_NUMBA_INTERPRET = None
-
-
-def numba_available() -> bool:
-    """True when :mod:`numba` is importable (checked once, lazily)."""
-    global _NUMBA_CHECKED, _NUMBA
-    if not _NUMBA_CHECKED:
-        try:
-            import numba  # type: ignore
-            _NUMBA = numba
-        except ImportError:
-            _NUMBA = None
-        _NUMBA_CHECKED = True
-    return _NUMBA is not None
 
 
 _CC_CHECKED = False
@@ -385,36 +360,19 @@ def cc_usable() -> bool:
 def resolve_backend(backend: str) -> str:
     """Map a requested backend to the one that will execute.
 
-    ``auto`` follows :data:`AUTO_ORDER`: the fused path when a C
-    compiler exists *and is trusted* (see :func:`cc_usable` — a
-    memoized build failure or an open ``kernel-cc`` circuit breaker
-    degrades past it), numba when it is importable, else the fused
-    generated-Python engine.  ``auto`` can never resolve to ``interp``
-    (slower than the reference path it would replace).  Requesting
-    ``numba`` explicitly on a machine without numba raises
-    :class:`~repro.errors.KernelError` (the implicit ``auto`` never
-    does).
+    ``auto`` follows :data:`AUTO_ORDER`, whose engines both belong to
+    the fused backend: the C engine when a compiler exists *and is
+    trusted* (see :func:`cc_usable` — a memoized build failure or an
+    open ``kernel-cc`` circuit breaker degrades past it), else the
+    generated-Python engine; the fused run picks between them.
+    ``auto`` can never resolve to ``interp`` (slower than the reference
+    path it would replace).
     """
     if backend not in BACKENDS:
         raise KernelError(
             f"unknown backend {backend!r}; choose one of {BACKENDS}"
         )
-    if backend == "auto":
-        if cc_usable():
-            chosen = "fused"          # AUTO_ORDER[0]: fused:cc
-        elif numba_available():
-            chosen = "numba"          # AUTO_ORDER[1]
-        else:
-            chosen = "fused"          # AUTO_ORDER[2]: fused:codegen
-        if chosen == "interp":  # pragma: no cover - defensive
-            raise KernelError("auto resolution must never pick 'interp'")
-        return chosen
-    if backend == "numba" and not numba_available():
-        raise KernelError(
-            "backend 'numba' requested but numba is not installed; "
-            "use 'auto' (falls back to 'fused') or install numba"
-        )
-    return backend
+    return "fused" if backend == "auto" else backend
 
 
 # -- global counters ---------------------------------------------------------------
@@ -424,7 +382,6 @@ def resolve_backend(backend: str) -> str:
 class KernelInfo:
     """Snapshot of the module-wide kernel counters."""
 
-    numba_available: bool
     cc_available: bool
     runs: dict[str, int]
     total_samples: int
@@ -505,7 +462,6 @@ reset_kernel_info()
 def kernel_info() -> KernelInfo:
     """Backend usage, compile time, and throughput counters."""
     return KernelInfo(
-        numba_available=numba_available(),
         cc_available=cc_available(),
         runs=dict(_STATS["runs"]),
         total_samples=_STATS["total_samples"],
@@ -799,12 +755,12 @@ class FusedLoopKernel:
         ``noise`` is the per-sample bridge-noise waveform (zeros when
         noise is disabled).  Backends: ``fused`` (C-compiled program
         interpreter, or generated Python without a C compiler),
-        ``numba`` (JIT of the array interpreter), ``interp`` (the same
-        interpreter in pure Python — the semantics-verification path).
+        ``interp`` (the array interpreter in pure Python — the
+        semantics-verification path).
         """
-        if backend not in ("fused", "numba", "interp"):
+        if backend not in ("fused", "interp"):
             raise KernelError(
-                f"kernel backend must be fused/numba/interp, got {backend!r}"
+                f"kernel backend must be fused/interp, got {backend!r}"
             )
         timer = StageTimer()
         state = list(self._state0)
@@ -835,9 +791,6 @@ class FusedLoopKernel:
                         "C kernel engine skipped (%s); "
                         "using generated Python", blocked,
                     )
-        elif backend == "numba":
-            with timer.stage("compile"):
-                fn_arrays = _numba_interpreter()
         else:
             fn_arrays = _interpret_program
             timer.record("compile", 0.0)
@@ -1426,7 +1379,7 @@ def _compile_source(source: str) -> Callable:
     return fn
 
 
-# -- generic array interpreter (the numba-compiled program) ------------------------
+# -- generic array interpreter (the interp oracle) ---------------------------------
 
 
 def _interpret_program(
@@ -1437,11 +1390,11 @@ def _interpret_program(
 ):
     """Interpret a stage program over typed arrays.
 
-    Written in a numba-compatible subset of Python (while loops, scalar
-    arithmetic, flat indexing only); ``numba.njit`` compiles exactly
-    this function for the ``numba`` backend, and the ``interp`` backend
-    runs it as-is so its semantics are testable without numba.  Every
-    op replicates the arithmetic of the generated fused source.
+    Written in a flat subset of Python (while loops, scalar arithmetic,
+    flat indexing only) that the C engine translates line for line; the
+    ``interp`` backend runs it as-is so those semantics are testable on
+    any machine.  Every op replicates the arithmetic of the generated
+    fused source.
     """
     n_ops = len(kinds)
     i = 0
@@ -1530,23 +1483,6 @@ def _interpret_program(
             m += 1
         out_disp[i] = mode_state[0]
         i += 1
-
-
-def _numba_interpreter():
-    """The njit-compiled interpreter (compiled once, on first use)."""
-    global _NUMBA_INTERPRET
-    if not numba_available():  # pragma: no cover - numba-only
-        raise KernelError("numba is not installed")
-    if _NUMBA_INTERPRET is None:  # pragma: no cover - numba-only
-        t0 = time.perf_counter()
-        _NUMBA_INTERPRET = _NUMBA.njit(cache=False, fastmath=False)(
-            _interpret_program
-        )
-        logger.info(
-            "numba kernel interpreter compiled in %.2f s",
-            time.perf_counter() - t0,
-        )
-    return _NUMBA_INTERPRET
 
 
 # -- C-compiled interpreter (the fused backend's fast engine) ----------------------

@@ -39,7 +39,7 @@ bit-for-bit — in practice the C engine preserves the exact per-sample
 operation order and lands bit-identical on this machine, but SIMD
 codegen freedom is part of the engine's contract, so its golden suite
 (``tests/engine/test_kernel_columnar.py``) pins tolerances instead.
-The existing fused/numba/interp backends and the row batch keep the
+The existing fused/interp backends and the row batch keep the
 bit-identity contract untouched.
 """
 

@@ -293,14 +293,12 @@ class ResonantFeedbackLoop:
         backend:
             Execution path: ``"reference"`` steps every block in Python
             sample-by-sample; ``"fused"`` lowers the loop to the fused
-            kernel (same waveforms, ~20x faster); ``"numba"`` JIT-
-            compiles the kernel program (requires numba); ``"auto"``
+            kernel (same waveforms, ~20x faster); ``"auto"``
             (default) picks the fastest available.  Blocks that cannot
             lower (custom subclasses, patched ``step``, per-sample
             noise sources) make the kernel backends fall back to the
-            reference path with a logged reason — never an error —
-            unless ``"numba"``/``"fused"`` was requested on a machine
-            that cannot provide it.  See ``docs/FASTPATH.md``.
+            reference path with a logged reason — never an error.
+            See ``docs/FASTPATH.md``.
         """
         resolved = resolve_backend(backend)
         prep = self._prepare_run(duration, initial_kick)

@@ -60,18 +60,18 @@ def health_snapshot(
     ----------
     cache_dir:
         When given, also integrity-scan that
-        :class:`~repro.engine.ResultCache` directory and report
+        :class:`~repro.engine.TieredCache` directory and report
         intact/damaged counts (the scan is an audit: hit/miss counters
         are untouched).
     evict:
-        Forwarded to :meth:`~repro.engine.ResultCache.verify` — evict
+        Forwarded to :meth:`~repro.engine.TieredCache.verify` — evict
         damaged entries found by the scan.
 
     The top-level ``"ok"`` field is the readiness verdict: True unless
     the compiled engine is quarantined, a breaker is open, or the cache
     scan found damage it was not allowed to evict.
     """
-    from ..engine import cc_available, kernel_info, numba_available
+    from ..engine import cc_available, kernel_info
     from .transport import transport_report
 
     info = kernel_info()
@@ -79,7 +79,6 @@ def health_snapshot(
     snapshot: dict[str, Any] = {
         "compiler_available": bool(cc_available()),
         "compiler_error": info.cc_build_error or None,
-        "numba_available": bool(numba_available()),
         **resilience,
         # outbound HTTP vitals: retry / deadline-shed / breaker counters
         # for this process's ServiceClient + HTTPRemoteStore traffic
@@ -90,9 +89,9 @@ def health_snapshot(
         b["open"] for b in resilience["breakers"].values()
     )
     if cache_dir is not None:
-        from ..engine import ResultCache
+        from ..engine import TieredCache
 
-        intact, damaged = ResultCache(cache_dir).verify(evict=evict)
+        intact, damaged = TieredCache(cache_dir).verify(evict=evict)
         snapshot["cache"] = {
             "directory": str(cache_dir),
             "intact": intact,

@@ -11,7 +11,7 @@ into the store as they settle, so a status poll mid-job shows live
 progress and a crash loses at most the points not yet cached.
 
 Result blobs are written through the checksummed
-:class:`~repro.engine.ResultCache` under a key derived from the job's
+:class:`~repro.engine.TieredCache` under a key derived from the job's
 ``work_hash``; a deduplicated follower job therefore finds both its
 per-point values *and* its finished table already cached, and
 completes with zero recomputes.

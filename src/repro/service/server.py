@@ -262,13 +262,9 @@ class ReproService:
                 "misses": info.misses,
                 "stores": info.stores,
                 "corruptions": info.corruptions,
+                "tiers": [tier.as_dict() for tier in info.tiers],
             },
         }
-        tiers = getattr(info, "tiers", ())
-        if tiers:
-            snapshot["service"]["cache"]["tiers"] = [
-                tier.as_dict() for tier in tiers
-            ]
         transport = self.transport.snapshot()
         with self._inflight_lock:
             transport["inflight"] = self._inflight
@@ -326,17 +322,11 @@ class ReproService:
         }
 
     def cache_export(self, key: str) -> bytes | None:
-        """Raw checksummed cache payload, or None (needs a TieredCache)."""
-        export = getattr(self.cache, "export_entry", None)
-        if export is None:
-            raise ServiceError("cache tier transport needs a TieredCache")
-        return export(key)
+        """Raw checksummed cache payload, or None."""
+        return self.cache.export_entry(key)
 
     def cache_import(self, key: str, raw: bytes) -> bool:
-        imp = getattr(self.cache, "import_entry", None)
-        if imp is None:
-            raise ServiceError("cache tier transport needs a TieredCache")
-        return imp(key, raw)
+        return self.cache.import_entry(key, raw)
 
     def _get(self, job_id: str) -> JobRecord:
         record = self.store.get(job_id)

@@ -21,7 +21,7 @@ Two layers:
   sibling CLI poking at the same file.
 
 Result *blobs* do not live here: finished sweep tables are written
-through the checksummed :class:`~repro.engine.ResultCache` and the row
+through the checksummed :class:`~repro.engine.TieredCache` and the row
 keeps only the cache key (``result_key``) — the store stays small and
 the blobs inherit the cache's corruption detection.
 """
@@ -424,8 +424,19 @@ class SQLiteJobStore(JobStore):
             )
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self._conn() as conn:
-            self._migrate(conn)
+        # Concurrent first opens of one file can collide on the WAL
+        # switch, which SQLite reports as locked without waiting; retry
+        # like a store call, minus the ``store.op`` fault poll (opening
+        # is not a store operation).
+        for attempt in range(_LOCK_RETRY.retries + 1):
+            try:
+                with self._conn() as conn:
+                    self._migrate(conn)
+                return
+            except sqlite3.OperationalError as err:
+                if not _is_locked(err) or attempt >= _LOCK_RETRY.retries:
+                    raise
+                time.sleep(_LOCK_RETRY.delay(attempt, key="open"))
 
     # -- connection & schema -------------------------------------------------
 
@@ -447,7 +458,13 @@ class SQLiteJobStore(JobStore):
             conn.close()
 
     def _migrate(self, conn: sqlite3.Connection) -> None:
-        """Apply every migration newer than the store's recorded version."""
+        """Apply every migration newer than the store's recorded version.
+
+        Holds the write lock from the first read: a concurrent opener of
+        the same fresh file waits (``busy_timeout``) and then finds every
+        version already applied instead of inserting it again.
+        """
+        conn.execute("BEGIN IMMEDIATE")
         conn.execute(
             """
             CREATE TABLE IF NOT EXISTS schema_migrations (

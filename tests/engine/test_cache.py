@@ -1,4 +1,4 @@
-"""ResultCache contract: hits, invalidation, corruption recovery, hashing."""
+"""Result-cache contract: hits, invalidation, corruption recovery, hashing."""
 
 import functools
 import pickle
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from repro.engine import CACHE_VERSION, ResultCache, stable_hash
+from repro.engine import CACHE_VERSION, TieredCache, stable_hash
 from repro.errors import CacheError
 
 CALLS = []
@@ -31,7 +31,7 @@ class Config:
 @pytest.fixture()
 def cache(tmp_path):
     CALLS.clear()
-    return ResultCache(tmp_path / "cache")
+    return TieredCache(tmp_path / "cache")
 
 
 class TestHitMiss:
@@ -56,7 +56,7 @@ class TestHitMiss:
 
     def test_hit_survives_new_cache_instance(self, cache):
         cache.get_or_compute(expensive, 4)
-        reopened = ResultCache(cache.directory)
+        reopened = TieredCache(cache.directory)
         assert reopened.get_or_compute(expensive, 4) == 40
         assert CALLS == [4]
         assert reopened.cache_info().hits == 1
@@ -65,7 +65,7 @@ class TestHitMiss:
 class TestInvalidation:
     def test_miss_after_version_bump(self, cache):
         cache.get_or_compute(expensive, 4)
-        bumped = ResultCache(cache.directory, version=CACHE_VERSION + 1)
+        bumped = TieredCache(cache.directory, version=CACHE_VERSION + 1)
         assert bumped.get_or_compute(expensive, 4) == 40
         assert CALLS == [4, 4]  # old entry not visible to the new version
 
@@ -80,11 +80,19 @@ class TestInvalidation:
 
 
 class TestCorruption:
+    """Damage on disk, read back the way a re-run or another process does.
+
+    Each damaged entry is read through a fresh instance on the same
+    directory: the writing instance would serve its memory tier and
+    never touch the damaged file.
+    """
+
     def test_corrupted_file_falls_back_to_recompute(self, cache):
         key = cache.key_for(expensive, 4)
         cache.get_or_compute(expensive, 4)
         path = cache._path_for(key)
         path.write_bytes(b"not a pickle at all")
+        cache = TieredCache(cache.directory)
         assert cache.get_or_compute(expensive, 4) == 40
         assert CALLS == [4, 4]
         # the corrupted entry was replaced with a good one
@@ -95,12 +103,13 @@ class TestCorruption:
         cache.get_or_compute(expensive, 4)
         path = cache._path_for(key)
         path.write_bytes(path.read_bytes()[:10])
+        cache = TieredCache(cache.directory)
         assert cache.get_or_compute(expensive, 4) == 40
         assert CALLS == [4, 4]
 
     def test_foreign_payload_rejected(self, cache):
         key = cache.key_for(expensive, 4)
-        cache.directory.mkdir(parents=True, exist_ok=True)
+        cache._path_for(key).parent.mkdir(parents=True, exist_ok=True)
         with open(cache._path_for(key), "wb") as fh:
             pickle.dump({"version": cache.version, "key": "someone-else"}, fh)
         assert cache.get(key) is cache.MISS
@@ -115,6 +124,7 @@ class TestCorruption:
         raw = bytearray(path.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
         path.write_bytes(bytes(raw))
+        cache = TieredCache(cache.directory)
         assert cache.get(key) is cache.MISS
         info = cache.cache_info()
         assert info.corruptions == 1

@@ -1,4 +1,4 @@
-"""ResultCache under concurrent writers: two processes, one directory.
+"""The result cache under concurrent writers: two processes, one directory.
 
 The service layer hangs its dedup guarantee on the cache surviving
 concurrent access — pump workers, a sibling CLI, and a second server
@@ -11,6 +11,9 @@ torn cross-process writes) against a shared directory and assert:
 * racing writers of the *same* key converge on one intact value;
 * the cache actually deduplicates work across processes (a warmed key
   is a hit, not a recompute, from a fresh process).
+
+The racing writers run with the memory tier off, so every read-back
+goes to the shared disk directory the sibling process is writing.
 """
 
 from __future__ import annotations
@@ -18,12 +21,12 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 
-from repro.engine import FilesystemRemoteStore, ResultCache, TieredCache
+from repro.engine import FilesystemRemoteStore, TieredCache
 
 
 def _writer(cache_dir, worker, keys_per_worker, barrier, results):
     """Write ``keys_per_worker`` distinct payloads, then re-read them all."""
-    cache = ResultCache(cache_dir)
+    cache = TieredCache(cache_dir, memory_entries=0)
     barrier.wait()  # maximize overlap between the two processes
     wrote, read_back = 0, 0
     for i in range(keys_per_worker):
@@ -39,7 +42,7 @@ def _writer(cache_dir, worker, keys_per_worker, barrier, results):
 
 def _same_key_writer(cache_dir, worker, rounds, barrier, results):
     """Hammer one shared key; any surviving value must be intact."""
-    cache = ResultCache(cache_dir)
+    cache = TieredCache(cache_dir, memory_entries=0)
     barrier.wait()
     for i in range(rounds):
         cache.put("shared-key", {"worker": worker, "round": i})
@@ -75,7 +78,7 @@ def test_two_processes_disjoint_keys_no_corruption(tmp_path):
         assert wrote == keys
         assert read_back == keys
 
-    cache = ResultCache(cache_dir)
+    cache = TieredCache(cache_dir)
     intact, damaged = cache.verify(evict=False)
     assert damaged == 0
     assert intact == 2 * keys
@@ -90,7 +93,7 @@ def test_two_processes_same_key_last_writer_wins_intact(tmp_path):
     cache_dir = str(tmp_path / "cache")
     _spawn(_same_key_writer, (cache_dir, 30))
 
-    cache = ResultCache(cache_dir)
+    cache = TieredCache(cache_dir)
     intact, damaged = cache.verify(evict=False)
     assert damaged == 0
     value = cache.get("shared-key")
@@ -103,7 +106,7 @@ def test_warm_key_is_cross_process_hit_not_recompute(tmp_path):
     """The dedup substrate: process B finds process A's work already done."""
     cache_dir = str(tmp_path / "cache")
 
-    first = ResultCache(cache_dir)
+    first = TieredCache(cache_dir)
     first.put("expensive", {"answer": 42})
 
     ctx = mp.get_context("spawn")
@@ -119,7 +122,7 @@ def test_warm_key_is_cross_process_hit_not_recompute(tmp_path):
 
 def _probe_entry(cache_dir, queue):
     """Spawn target (must be module-level to be importable by the child)."""
-    cache = ResultCache(cache_dir)
+    cache = TieredCache(cache_dir)
     value = cache.get("expensive")
     info = cache.cache_info()
     queue.put((value, info.hits, info.misses, info.stores))
@@ -127,7 +130,7 @@ def _probe_entry(cache_dir, queue):
 
 def test_payloads_survive_pickling_boundary(tmp_path):
     """Values round-trip the same whether read in-process or across one."""
-    cache = ResultCache(str(tmp_path / "cache"))
+    cache = TieredCache(str(tmp_path / "cache"))
     payload = {"cols": {"a": [1.5, None, 3.25]}, "n": 3}
     cache.put("k", payload)
     assert cache.get("k") == pickle.loads(pickle.dumps(payload))

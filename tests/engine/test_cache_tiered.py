@@ -3,8 +3,7 @@
 The distributed fabric hangs its zero-recompute guarantee on this
 cache, so the tier mechanics are pinned here:
 
-* shard-by-hash-prefix disk layout (and transparent migration of
-  legacy flat-layout entries);
+* shard-by-hash-prefix disk layout;
 * promotion on hit — a disk hit lands in memory, a remote hit lands on
   disk *and* in memory — observable through per-tier counters;
 * bounded memory with LRU eviction (evictions counted, never lost
@@ -24,7 +23,6 @@ import pytest
 from repro.engine import (
     CACHE_VERSION,
     FilesystemRemoteStore,
-    ResultCache,
     TieredCache,
 )
 
@@ -44,17 +42,6 @@ class TestShardLayout:
         path = cache.directory / "ab" / "abcdef.pkl"
         assert path.is_file()
 
-    def test_shard_width_is_respected(self, tmp_path):
-        wide = TieredCache(tmp_path / "w", shard_width=3)
-        wide.put("abcdef", {"v": 1})
-        assert (wide.directory / "abc" / "abcdef.pkl").is_file()
-
-    def test_bad_shard_width_rejected(self, tmp_path):
-        from repro.errors import CacheError
-
-        with pytest.raises(CacheError, match="shard_width"):
-            TieredCache(tmp_path / "bad", shard_width=0)
-
     def test_verify_walks_sharded_layout(self, cache):
         for i in range(6):
             cache.put(f"key-{i}", {"i": i})
@@ -66,21 +53,6 @@ class TestShardLayout:
         assert cache.clear() == 1
         assert cache.get("abcdef") is cache.MISS
         assert tier(cache, "memory").hits == 0
-
-
-class TestLegacyFlatLayout:
-    def test_flat_entry_is_found_and_resharded(self, tmp_path):
-        flat = ResultCache(tmp_path / "cache")
-        flat.put("abcdef", {"v": 42})
-        assert (tmp_path / "cache" / "abcdef.pkl").is_file()
-
-        tiered = TieredCache(tmp_path / "cache")
-        assert tiered.get("abcdef") == {"v": 42}
-        # transparently migrated into its shard; flat copy gone
-        assert (tmp_path / "cache" / "ab" / "abcdef.pkl").is_file()
-        assert not (tmp_path / "cache" / "abcdef.pkl").exists()
-        # and still a hit afterwards
-        assert tiered.get("abcdef") == {"v": 42}
 
 
 class TestPromotion:
@@ -244,13 +216,6 @@ class TestCounterCompat:
         old.put("k", {"v": 1})
         newer = TieredCache(tmp_path / "cache", version=CACHE_VERSION + 1)
         assert newer.get("k") is newer.MISS
-
-    def test_is_a_result_cache(self, cache):
-        # drop-in for every cache= parameter in the library
-        assert isinstance(cache, ResultCache)
-        assert cache.get_or_compute(len, "abc") == 3
-        assert cache.get_or_compute(len, "abc") == 3
-        assert cache.cache_info().hits == 1
 
 
 class TestRemoteBrownout:

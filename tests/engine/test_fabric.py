@@ -140,6 +140,54 @@ class TestBitExactness:
         assert info.misses == 0
 
 
+class TestOneLayoutAcrossPaths:
+    """CLI sweep, fabric and health audit share one sharded cache dir."""
+
+    def test_cli_fabric_and_health_share_one_layout(self, tmp_path, capsys):
+        from repro.cli import main
+
+        values = values_for(6)
+        cache_dir = tmp_path / "cache"
+
+        # 1. the CLI sweep writes every point at <dir>/<2 hex>/<key>.pkl
+        assert main([
+            "sweep", "--serial", "--cache-dir", str(cache_dir),
+            "--path", PATH, "--values", ",".join(map(str, values)),
+            "--duration", str(DURATION),
+        ]) == 0
+        entries = sorted(cache_dir.rglob("*.pkl"))
+        assert len(entries) == len(values)
+        for path in entries:
+            assert path.parent.parent == cache_dir
+            assert path.parent.name == path.stem[:2]
+        reader = TieredCache(cache_dir)
+        cli_result = run_spec_sweep(
+            REFERENCE_RESONANT_SENSOR, PATH, values,
+            LoopSweepTask(duration=DURATION), workers=0, backend="serial",
+            cache=reader,
+        )
+        assert reader.cache_info().hits == len(values)
+        assert reader.cache_info().stores == 0
+
+        # 2. the fabric over the same grid computes nothing
+        cache = TieredCache(cache_dir)
+        result = run_fabric_sweep(
+            REFERENCE_RESONANT_SENSOR, PATH, values,
+            db=tmp_path / "jobs.sqlite", cache_dir=cache_dir,
+            duration=DURATION, workers=0, chunk_size=4, cache=cache,
+        )
+        info = cache.cache_info()
+        assert info.tier("disk").hits == len(values)
+        assert info.stores == 1          # the job's result blob only
+        assert_bit_exact(cli_result, result)
+
+        # 3. the health audit finds every entry intact
+        capsys.readouterr()
+        assert main(["health", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert f"{len(values) + 1} intact, 0 damaged" in out
+
+
 class TestKillAndResume:
     def test_killed_worker_resumes_with_zero_recomputes(self, tmp_path):
         values = values_for(16)

@@ -271,23 +271,19 @@ class TestAutoResolution:
     """``auto`` follows AUTO_ORDER and can never pick ``interp``."""
 
     def test_auto_order_pinned(self):
-        assert AUTO_ORDER == ("fused:cc", "numba", "fused:codegen")
+        assert AUTO_ORDER == ("fused:cc", "fused:codegen")
         assert "interp" not in AUTO_ORDER
 
     @pytest.mark.parametrize(
-        "cc,numba,expected",
+        "cc,expected",
         [
-            (True, True, "fused"),    # AUTO_ORDER[0]: fused:cc
-            (True, False, "fused"),   # AUTO_ORDER[0]: fused:cc
-            (False, True, "numba"),   # AUTO_ORDER[1]
-            (False, False, "fused"),  # AUTO_ORDER[2]: fused:codegen
+            (True, "fused"),    # AUTO_ORDER[0]: fused:cc
+            (False, "fused"),   # AUTO_ORDER[1]: fused:codegen
         ],
     )
-    def test_resolution_order(self, monkeypatch, cc, numba, expected):
+    def test_resolution_order(self, monkeypatch, cc, expected):
         monkeypatch.setattr(kernel_mod, "_CC_CHECKED", True)
         monkeypatch.setattr(kernel_mod, "_CC", "cc" if cc else None)
-        monkeypatch.setattr(kernel_mod, "_NUMBA_CHECKED", True)
-        monkeypatch.setattr(kernel_mod, "_NUMBA", object() if numba else None)
         resolved = resolve_backend("auto")
         assert resolved == expected
         assert resolved != "interp"
@@ -441,9 +437,9 @@ class TestLoopSweepTaskPlanner:
             assert info.batch_instances == len(LENGTHS)
 
     def test_warm_cache_skips_the_batch(self, tmp_path):
-        from repro.engine import ResultCache
+        from repro.engine import TieredCache
 
-        cache = ResultCache(str(tmp_path))
+        cache = TieredCache(str(tmp_path))
         cold = self._sweep("kernel-batch", cache=cache)
         assert cache.cache_info().stores == len(LENGTHS)
         reset_kernel_info()

@@ -17,7 +17,7 @@ import pytest
 import repro.engine.kernel as kernel_mod
 from repro.config import REFERENCE_RESONANT_SENSOR
 from repro.core import ResonantCantileverSensor
-from repro.engine import kernel_info, numba_available, reset_kernel_info
+from repro.engine import kernel_info, reset_kernel_info
 
 DURATION = 0.01
 WAVEFORMS = (
@@ -77,12 +77,6 @@ class TestGoldenSpecs:
         rec = loop.run(DURATION, backend="auto")
         assert loop.last_kernel_info is not None, "auto fell back unexpectedly"
         assert_records_equal(ref, rec, "auto")
-
-    @pytest.mark.skipif(not numba_available(), reason="numba not installed")
-    def test_numba_matches_reference(self):  # pragma: no cover - numba-only
-        ref = build_spec_loop("reference").run(DURATION, backend="reference")
-        rec = build_spec_loop("reference").run(DURATION, backend="numba")
-        assert_records_equal(ref, rec, "numba")
 
 
 class TestGoldenLoopStates:

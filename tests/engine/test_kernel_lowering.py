@@ -173,16 +173,13 @@ class TestResolveBackend:
         assert resolve_backend("reference") == "reference"
         assert resolve_backend("fused") == "fused"
         assert resolve_backend("interp") == "interp"
-        assert resolve_backend("auto") in ("fused", "numba")
+        assert resolve_backend("auto") == "fused"
 
     def test_unknown_backend_raises(self):
         with pytest.raises(KernelError, match="unknown"):
             resolve_backend("turbo")
 
     def test_numba_without_numba_raises(self):
-        from repro.engine import numba_available
-
-        if numba_available():  # pragma: no cover - numba-only
-            pytest.skip("numba installed on this machine")
-        with pytest.raises(KernelError, match="numba"):
+        # The numba backend is gone; asking for it is an unknown backend.
+        with pytest.raises(KernelError, match="unknown backend 'numba'"):
             resolve_backend("numba")

@@ -33,8 +33,8 @@ from repro.engine import (
     CircuitBreaker,
     FaultPlan,
     FaultSpec,
-    ResultCache,
     RetryPolicy,
+    TieredCache,
     breaker_report,
     cc_available,
     cc_usable,
@@ -342,8 +342,13 @@ class TestExecutorWatchdog:
 
 
 class TestCacheCorruption:
+    """``cache.entry`` damages the disk file before a disk read, so each
+    test reads back through a fresh instance on the same directory (the
+    writing instance would serve its memory tier and never read the
+    file) — what a re-run or another process does."""
+
     def test_injected_corruption_evicted_and_recomputed(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
+        cache = TieredCache(tmp_path / "c")
         calls: list[int] = []
 
         def counted(x, _calls=calls):
@@ -352,7 +357,9 @@ class TestCacheCorruption:
 
         key = cache.key_for(tenx, 4)
         cache.put(key, tenx(4))
+        cache = TieredCache(cache.directory)
         assert cache.get(key) == 40  # intact entry hits
+        cache = TieredCache(cache.directory)
         with inject_faults(
             FaultPlan.single("cache.entry", kind="corrupt", seed=11)
         ) as inj:
@@ -367,9 +374,10 @@ class TestCacheCorruption:
         assert calls == []  # helper never needed (explicit puts)
 
     def test_truncation_fault_also_recovers(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
+        cache = TieredCache(tmp_path / "c")
         key = cache.key_for(tenx, 2)
         cache.put(key, 20)
+        cache = TieredCache(cache.directory)
         # any non-"corrupt" kind truncates the file to half: the
         # killed-mid-write shape
         with inject_faults(FaultPlan.single("cache.entry", kind="device")):
@@ -378,7 +386,7 @@ class TestCacheCorruption:
         assert not cache._path_for(key).exists()  # evicted
 
     def test_verify_scan_counts_and_evicts(self, tmp_path):
-        cache = ResultCache(tmp_path / "c")
+        cache = TieredCache(tmp_path / "c")
         good = cache.key_for(tenx, 1)
         bad = cache.key_for(tenx, 2)
         cache.put(good, 10)
@@ -386,6 +394,7 @@ class TestCacheCorruption:
         raw = cache._path_for(bad).read_bytes()
         cache._path_for(bad).write_bytes(raw[: len(raw) // 2])
         assert cache.verify(evict=True) == (1, 1)
+        cache = TieredCache(cache.directory)
         assert cache.get(good) == 10
         assert cache.get(bad) is cache.MISS
         # verify is an audit: the damaged entry it evicted is a plain

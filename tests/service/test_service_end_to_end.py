@@ -23,7 +23,7 @@ import pytest
 
 from repro.analysis import LoopSweepTask, override_grid
 from repro.config import REFERENCE_RESONANT_SENSOR
-from repro.engine import ResultCache
+from repro.engine import TieredCache
 from repro.errors import ServiceError
 from repro.service import (
     JobSpec,
@@ -55,7 +55,7 @@ def running_service(tmp_path, cache=None, **service_kwargs):
     """A live server on an ephemeral port + its client and internals."""
     store = open_job_store(tmp_path / "jobs.sqlite")
     if cache is None:
-        cache = ResultCache(str(tmp_path / "cache"))
+        cache = TieredCache(str(tmp_path / "cache"))
     service = ReproService(
         store, cache, SchedulerPolicy(tenant_quota=2),
         pump_workers=1, poll_interval=0.02, **service_kwargs,
@@ -236,7 +236,7 @@ class TestFabricOverHTTP:
                          **overrides)
 
     def test_remote_worker_executes_a_fabric_job(self, tmp_path):
-        from repro.engine import HTTPRemoteStore, TieredCache
+        from repro.engine import HTTPRemoteStore
         from repro.engine.fabric import FabricWorker
         from repro.service import RemoteFabricStore
 
@@ -287,8 +287,6 @@ class TestFabricOverHTTP:
                 == {"memory", "disk", "remote"}
 
     def test_cache_blob_endpoints_validate_payloads(self, tmp_path):
-        from repro.engine import TieredCache
-
         cache = TieredCache(str(tmp_path / "server-cache"))
         with running_service(tmp_path, cache=cache) as box:
             cache.put("somekey", {"v": 7})
@@ -330,8 +328,6 @@ class TestFabricOverHTTP:
             assert err.value.code == 404
 
     def test_fabric_jobs_are_skipped_by_the_pump_executor(self, tmp_path):
-        from repro.engine import TieredCache
-
         cache = TieredCache(str(tmp_path / "server-cache"))
         with running_service(tmp_path, cache=cache) as box:
             record = box.client.submit(self.fabric_spec())

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import sqlite3
+import threading
+from contextlib import closing
 
 import pytest
 
@@ -228,6 +230,40 @@ class TestMigrations:
         record = make_record(resilience={"fallbacks": 0})
         store.put(record)
         assert store.get(record.job_id).resilience == {"fallbacks": 0}
+
+    def test_concurrent_first_opens_migrate_once(self, tmp_path):
+        # Openers racing on one fresh db: the loser of the write lock
+        # must find every migration applied, not insert it again.
+        openers, trials = 4, 10
+        for trial in range(trials):
+            path = tmp_path / f"race-{trial}.sqlite"
+            barrier = threading.Barrier(openers)
+            errors: list[Exception] = []
+
+            def open_store(path=path, barrier=barrier, errors=errors):
+                barrier.wait()
+                try:
+                    SQLiteJobStore(path)
+                except Exception as err:  # collected, asserted below
+                    errors.append(err)
+
+            threads = [threading.Thread(target=open_store)
+                       for _ in range(openers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert errors == []
+            assert SQLiteJobStore(path).schema_version() == SCHEMA_VERSION
+            with closing(sqlite3.connect(path)) as conn:
+                versions = [
+                    row[0] for row in conn.execute(
+                        "SELECT version FROM schema_migrations "
+                        "ORDER BY version"
+                    )
+                ]
+            assert versions == [version for version, _ in MIGRATIONS]
 
     def test_migration_history_is_append_only_shape(self):
         versions = [version for version, _ in MIGRATIONS]

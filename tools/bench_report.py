@@ -2,7 +2,7 @@
 
 Default mode runs the closed-loop backend-throughput experiment plus the
 three FIG5 bench experiments and writes ``BENCH_fig5.json``: samples/sec
-per backend, the fused/numba speedups over the reference path, and the
+per backend, the fused speedup over the reference path, and the
 wall time of each bench — the numbers the README performance table and
 the perf-trajectory tracking across PRs are built from.
 
@@ -41,7 +41,7 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "benchmarks"))
 
 from repro.core.presets import reference_cantilever  # noqa: E402
-from repro.engine import cc_available, kernel_info, numba_available  # noqa: E402
+from repro.engine import cc_available, kernel_info  # noqa: E402
 
 from bench_fig5_feedback_loop import (  # noqa: E402
     backend_speedup_experiment,
@@ -77,7 +77,6 @@ def build_report(duration: float, repeats: int, quick: bool) -> dict:
         "report": "FIG5 closed-loop performance",
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "numba_available": numba_available(),
         "cc_available": cc_available(),
         "loop_duration_s": duration,
         "backends": [
@@ -425,7 +424,6 @@ def build_sweep_report(points: int, loop_points: int, repeats: int) -> dict:
         "machine": platform.machine(),
         "cpu_count": n_cpu,
         "cc_available": cc_available(),
-        "numba_available": numba_available(),
         "default_batch_threads": kernel_batch_threads(),
         "resonance_curve": {
             "points": points,
