@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint serve-check fabric-check chaos-check bench bench-json bench-batch bench-smoke kernel-check vector-check spec-check fault-check examples docs all clean
+.PHONY: install test lint serve-check fabric-check chaos-check bench bench-json bench-batch bench-smoke kernel-check vector-check spec-check fault-check perfbench-test examples docs all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -43,6 +43,12 @@ chaos-check:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+
+# The repo benchmark's own tests (perfbench/tests): its span arithmetic,
+# oracle checks and spawned-worker re-import of the library.  Tier-1
+# (testpaths = tests) does not collect them.
+perfbench-test:
+	PYTHONPATH=src $(PYTHON) -m pytest perfbench/tests -q
 
 # Machine-readable FIG5 performance report: samples/sec per closed-loop
 # backend + bench wall times, written to BENCH_fig5.json.
@@ -125,7 +131,7 @@ docs:
 	@echo "docs/API.md regenerated"
 
 # kernel-check's suites already run inside `test`.
-all: lint test vector-check fault-check bench-smoke serve-check fabric-check chaos-check bench examples
+all: lint test vector-check fault-check bench-smoke serve-check fabric-check chaos-check perfbench-test bench examples
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null || true

@@ -439,7 +439,7 @@ def _worker_process_main(db_path, cache_dir, worker_kwargs) -> None:
     store = open_job_store(db_path)
     cache = TieredCache(cache_dir)
     worker = FabricWorker(store, cache, **worker_kwargs)
-    worker.run(idle_exit=2.0)
+    worker.run(idle_exit=None)  # job-scoped: leave on the first idle poll
 
 
 def run_fabric_sweep(
@@ -459,16 +459,18 @@ def run_fabric_sweep(
 
     The ``repro sweep --fabric`` path: submits (or resumes) the fabric
     job on the store at ``db``, spawns ``workers`` local worker
-    processes sharing the tiered cache at ``cache_dir``, expires stale
-    leases while waiting, and assembles the finished table from the
-    cache.  Bit-exact with the serial path; any point already cached —
-    by a previous run, a killed worker, or the service pump — is never
-    recomputed.
+    processes sharing the tiered cache at ``cache_dir``, and assembles
+    the finished table from the cache.  Bit-exact with the serial path;
+    any point already cached — by a previous run, a killed worker, or
+    the service pump — is never recomputed.
 
-    ``workers=0`` runs the chunks in-process (no subprocesses), which
-    is also the degraded path when a worker cannot be spawned.
+    Spawned workers leave on their first poll that finds no queued
+    chunk; the coordinator blocks on their exit, ``poll_interval`` at
+    most, expiring stale leases in between.  While none is alive
+    (``workers=0``, or all died) one in-process worker drains the queue.
     """
     import multiprocessing
+    from multiprocessing.connection import wait
 
     from ..analysis.sweep import _cache_parameter, _collect
     from ..service.store import open_job_store
@@ -497,32 +499,37 @@ def run_fabric_sweep(
             )
             proc.start()
             procs.append(proc)
+    inline = FabricWorker(
+        store, cache, job_id=record.job_id, lease_seconds=lease_seconds,
+        max_attempts=max_attempts,
+        worker_id=f"{fabric_worker_id()}-inline",
+    )
 
     try:
         deadline = time.monotonic() + wait_timeout
         while True:
+            store.expire_chunk_leases()
+            live = [p.sentinel for p in procs if p.is_alive()]
+            if not live:
+                # no spawned worker left (workers=0, crash, OOM): drain
+                # the queued chunks in-process rather than hanging
+                inline.run(idle_exit=None)
+                if inline.stats.quarantined:
+                    raise FabricError(
+                        f"in-process worker quarantined: "
+                        f"{inline.breaker.last_failure_reason}"
+                    )
             counts = store.chunk_counts(record.job_id)
             total = sum(counts.values())
             settled = counts.get("done", 0) + counts.get("failed", 0)
             if total and settled == total:
                 break
-            store.expire_chunk_leases()
-            if workers > 0 and not any(p.is_alive() for p in procs):
-                # every worker died (crash rehearsal, OOM): finish the
-                # remaining chunks in-process rather than hanging
-                _drain_in_process(store, cache, record.job_id,
-                                  lease_seconds, max_attempts)
-                continue
-            if workers == 0:
-                _drain_in_process(store, cache, record.job_id,
-                                  lease_seconds, max_attempts)
-                continue
             if time.monotonic() > deadline:
                 raise FabricError(
                     f"fabric sweep timed out after {wait_timeout}s "
                     f"({settled}/{total} chunks settled)"
                 )
-            time.sleep(poll_interval)
+            wait(live, timeout=poll_interval)
     finally:
         for proc in procs:
             proc.join(timeout=5.0)
@@ -547,17 +554,6 @@ def run_fabric_sweep(
     )
     finalize_fabric_job(store, cache, record)
     return result
-
-
-def _drain_in_process(store, cache, job_id: str, lease_seconds: float,
-                      max_attempts: int) -> None:
-    """Run remaining chunks of a job in this process (degraded path)."""
-    worker = FabricWorker(
-        store, cache, job_id=job_id, lease_seconds=lease_seconds,
-        max_attempts=max_attempts,
-        worker_id=f"{fabric_worker_id()}-inline",
-    )
-    worker.run(idle_exit=None)
 
 
 def _assemble_from_cache(record, cache, cache_parameter, collect,

@@ -17,13 +17,16 @@ The acceptance criteria of the fabric PR live here:
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.analysis import LoopSweepTask, plan_chunks, run_spec_sweep
 from repro.config import REFERENCE_RESONANT_SENSOR
-from repro.engine import TieredCache
+from repro.engine import TieredCache, fabric
 from repro.engine.fabric import (
     CRASH_EXIT_CODE,
     FabricWorker,
@@ -31,6 +34,7 @@ from repro.engine.fabric import (
     run_fabric_sweep,
     submit_fabric_job,
 )
+from repro.engine.resilience import breaker_report
 from repro.errors import FabricError
 from repro.service import JobRecord, JobSpec, JobState, new_job_id
 from repro.service.store import open_job_store
@@ -276,3 +280,114 @@ class TestQuarantine:
         record = store.list_jobs()[0]
         assert record.state.phase == "failed"
         assert record.state.error
+
+    def test_quarantined_inline_worker_fails_the_sweep(self, tmp_path):
+        """No worker is left to run the queued chunks: raise, don't wait."""
+        started = time.monotonic()
+        with pytest.raises(FabricError, match="quarantined"):
+            run_fabric_sweep(
+                REFERENCE_RESONANT_SENSOR, "cantilever.does_not_exist",
+                [float(v) for v in range(8)],
+                db=tmp_path / "jobs.sqlite", cache_dir=tmp_path / "cache",
+                duration=DURATION, workers=0, chunk_size=2, max_attempts=1,
+                wait_timeout=30.0,
+            )
+        assert time.monotonic() - started < 10.0
+        store = open_job_store(tmp_path / "jobs.sqlite")
+        counts = store.chunk_counts(store.list_jobs()[0].job_id)
+        assert counts == {"failed": 3, "queued": 1}
+
+
+def inline_breakers():
+    return {name for name in breaker_report() if name.endswith("-inline")}
+
+
+def claimed_job(db, values):
+    """A submitted and claimed fabric job in 4-point chunks."""
+    store = open_job_store(db)
+    record = submit_fabric_job(
+        store, REFERENCE_RESONANT_SENSOR, PATH, values,
+        duration=DURATION, chunk_size=4,
+    )
+    store.claim(record.job_id)
+    return store, record
+
+
+def lease_every_chunk(store, record, lease_seconds):
+    """Hold each queued chunk under a worker that will never come back."""
+    while store.lease_chunk("dead-worker", lease_seconds, record.job_id):
+        pass
+
+
+class TestCoordinatorWait:
+    """The coordinator waits for a lease held elsewhere; it never spins."""
+
+    def test_dead_lease_is_waited_out_without_spinning(self, tmp_path):
+        values = values_for(8)
+        db = tmp_path / "jobs.sqlite"
+        store, record = claimed_job(db, values)
+        assert store.lease_chunk("dead-worker", 1.0, record.job_id)
+        before = inline_breakers()
+        wall0, cpu0 = time.monotonic(), time.process_time()
+        result = run_fabric_sweep(
+            REFERENCE_RESONANT_SENSOR, PATH, values,
+            db=db, cache_dir=tmp_path / "cache",
+            duration=DURATION, workers=0, chunk_size=4,
+        )
+        wall = time.monotonic() - wall0
+        cpu = time.process_time() - cpu0
+        assert_bit_exact(serial_reference(values), result)
+        assert len(inline_breakers() - before) <= 1
+        assert wall >= 1.0                     # the lease had to expire
+        assert cpu < 0.5 * wall
+
+    def test_lease_that_never_expires_times_out(self, tmp_path):
+        values = values_for(4)
+        db = tmp_path / "jobs.sqlite"
+        store, record = claimed_job(db, values)
+        lease_every_chunk(store, record, 30.0)
+        started = time.monotonic()
+        with pytest.raises(FabricError, match="timed out"):
+            run_fabric_sweep(
+                REFERENCE_RESONANT_SENSOR, PATH, values,
+                db=db, cache_dir=tmp_path / "cache",
+                duration=DURATION, workers=0, chunk_size=4,
+                wait_timeout=0.5,
+            )
+        assert time.monotonic() - started < 5.0
+
+
+def forbid_sleep(monkeypatch):
+    """Make ``time.sleep`` raise inside the fabric module only."""
+    def sleep(seconds):
+        raise AssertionError(f"fabric slept {seconds}s")
+
+    monkeypatch.setattr(fabric, "time", SimpleNamespace(
+        monotonic=time.monotonic, time=time.time, sleep=sleep))
+
+
+class TestWorkerLifecycle:
+    """Job-scoped workers leave when the work does; nobody polls by sleeping."""
+
+    def test_worker_with_nothing_queued_returns_without_sleeping(
+            self, tmp_path, monkeypatch):
+        db = tmp_path / "jobs.sqlite"
+        store, record = claimed_job(db, values_for(8))
+        lease_every_chunk(store, record, 30.0)
+        monkeypatch.setenv("REPRO_KERNEL_THREADS",
+                           os.environ.get("REPRO_KERNEL_THREADS", "1"))
+        forbid_sleep(monkeypatch)
+        _worker_process_main(str(db), str(tmp_path / "cache"),
+                             {"job_id": record.job_id})
+        assert store.chunk_counts(record.job_id) == {"leased": 2}
+
+    def test_coordinator_waits_on_workers_without_sleeping(
+            self, tmp_path, monkeypatch):
+        values = values_for(8)
+        forbid_sleep(monkeypatch)
+        result = run_fabric_sweep(
+            REFERENCE_RESONANT_SENSOR, PATH, values,
+            db=tmp_path / "jobs.sqlite", cache_dir=tmp_path / "cache",
+            duration=DURATION, workers=1, chunk_size=4,
+        )
+        assert_bit_exact(serial_reference(values), result)
