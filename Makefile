@@ -131,7 +131,7 @@ docs:
 	@echo "docs/API.md regenerated"
 
 # kernel-check's suites already run inside `test`.
-all: lint test vector-check fault-check bench-smoke serve-check fabric-check chaos-check perfbench-test bench examples
+all: lint test spec-check vector-check fault-check bench-smoke serve-check fabric-check chaos-check perfbench-test bench examples
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null || true

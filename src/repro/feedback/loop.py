@@ -23,9 +23,11 @@ rather than being asserted.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor, wait
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,10 +41,12 @@ from ..circuits.phase import PhaseLead
 from ..circuits.signal import Signal
 from ..circuits.vga import VariableGainAmplifier
 from ..engine.kernel import (
+    MAX_BATCH_THREADS,
     FusedLoopKernel,
     KernelBatch,
     ModeLowering,
     batch_signature,
+    kernel_batch_threads,
     lower_block,
     record_fallback,
     resolve_backend,
@@ -132,14 +136,82 @@ def _memoized_bridge_noise(
 @dataclass(frozen=True)
 class _PreparedRun:
     """The deterministic prelude of one closed-loop run: sample grid,
-    synthesized bridge noise, and the signed bridge coefficient —
-    identical whether the run then executes solo or inside a batch."""
+    bridge-noise request and realization, and the signed bridge
+    coefficient — identical whether the run then executes solo or
+    inside a batch.
+
+    ``noise_request`` holds the arguments of
+    :func:`_memoized_bridge_noise` (``None`` when the loop runs without
+    bridge noise); ``bridge_noise`` is ``None`` until
+    :meth:`with_noise` synthesizes it.
+    """
 
     n: int
     sample_rate: float
     times: np.ndarray
-    bridge_noise: np.ndarray
     signed_coefficient: float
+    noise_request: tuple | None
+    bridge_noise: np.ndarray | None = None
+
+    def with_noise(self) -> _PreparedRun:
+        """This prelude with its bridge-noise realization filled in."""
+        if self.noise_request is None:
+            noise = np.zeros(self.n)
+        else:
+            noise = _memoized_bridge_noise(*self.noise_request)
+        return replace(self, bridge_noise=noise)
+
+
+#: One long-lived pool for batch noise synthesis, created on first use
+#: and re-created in a forked child (whose inherited pool has no live
+#: threads).  A pool per call would land every fresh thread in another
+#: malloc arena, which the kernel's raised trim threshold then keeps
+#: resident: long-lived threads keep the arena count, and RSS, flat.
+_NOISE_POOL: ThreadPoolExecutor | None = None
+_NOISE_POOL_PID: int | None = None
+_NOISE_POOL_LOCK = threading.Lock()
+
+
+def _noise_pool() -> ThreadPoolExecutor:
+    global _NOISE_POOL, _NOISE_POOL_PID
+    with _NOISE_POOL_LOCK:
+        if _NOISE_POOL is None or _NOISE_POOL_PID != os.getpid():
+            _NOISE_POOL = ThreadPoolExecutor(
+                max_workers=MAX_BATCH_THREADS, thread_name_prefix="repro-noise"
+            )
+            _NOISE_POOL_PID = os.getpid()
+        return _NOISE_POOL
+
+
+def _with_noise_batch(
+    preps: list[_PreparedRun], threads: int | None
+) -> list[_PreparedRun]:
+    """Synthesize a batch's bridge noise on the batch's thread budget.
+
+    ``kernel_batch_threads(threads, len(preps))`` strided slices: the
+    caller runs the first, the shared pool the rest (NumPy's FFTs
+    release the GIL, so slices overlap).  One thread runs inline and
+    starts none.  Every realization is a pure function of its request,
+    so the result does not depend on the slicing.
+    """
+    t = kernel_batch_threads(threads, len(preps))
+    if t == 1:
+        return [p.with_noise() for p in preps]
+    out: list[_PreparedRun | None] = [None] * len(preps)
+
+    def fill(start: int) -> None:
+        for k in range(start, len(preps), t):
+            out[k] = preps[k].with_noise()
+
+    pool = _noise_pool()
+    futures = [pool.submit(fill, s) for s in range(1, t)]
+    try:
+        fill(0)
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+    return out
 
 
 class ResonantFeedbackLoop:
@@ -370,12 +442,20 @@ class ResonantFeedbackLoop:
     def _prepare_run(
         self, duration: float, initial_kick: float | None = None
     ) -> _PreparedRun:
-        """Run the deterministic prelude shared by solo and batched
+        """The full prelude of a solo run: :meth:`_prepare_state`, then
+        the bridge-noise realization synthesized inline."""
+        return self._prepare_state(duration, initial_kick).with_noise()
+
+    def _prepare_state(
+        self, duration: float, initial_kick: float | None = None
+    ) -> _PreparedRun:
+        """Run the deterministic state prelude shared by solo and batched
         execution: validate the duration, prepare the discrete-time
-        blocks, reset the resonator to the initial kick, and synthesize
-        the bridge-noise realization.  The same floating-point sequence
-        as the body of :meth:`run` once produced inline — extracted so
-        :func:`run_batch` is bit-identical to solo runs."""
+        blocks, reset the resonator to the initial kick, and compute the
+        bridge-noise *request* (not yet its realization).  The same
+        floating-point sequence as the body of :meth:`run` once produced
+        inline — extracted so :func:`run_batch` is bit-identical to solo
+        runs."""
         require_positive("duration", duration)
         h = self.resonator.timestep
         sample_rate = 1.0 / h
@@ -391,20 +471,19 @@ class ResonantFeedbackLoop:
             initial_kick = 1e-12
         self.resonator.reset(displacement=initial_kick)
 
+        noise_request = None
         if self.include_bridge_noise:
             psd_white = float(
                 self.bridge.noise_psd(np.asarray([self.resonator.natural_frequency]))[0]
             )
             corner = self.bridge.corner_frequency()
-            bridge_noise = _memoized_bridge_noise(
+            noise_request = (
                 self.seed,
                 psd_white / (1.0 + corner / self.resonator.natural_frequency),
                 corner,
                 n,
                 sample_rate,
             )
-        else:
-            bridge_noise = np.zeros(n)
 
         k_dv = self.displacement_to_voltage
         sign = 1.0 if self.bridge.sensitivity() >= 0.0 else -1.0
@@ -412,8 +491,8 @@ class ResonantFeedbackLoop:
             n=n,
             sample_rate=sample_rate,
             times=np.arange(n) * h,
-            bridge_noise=bridge_noise,
             signed_coefficient=sign * k_dv,
+            noise_request=noise_request,
         )
 
     def _absorb_kernel_result(self, result) -> None:
@@ -509,6 +588,12 @@ def run_batch(
     ctypes dispatch instead of N.  Every record is bit-identical
     (``np.array_equal``) to the loop's solo fused run.
 
+    Loops are prepared and lowered on the caller's thread in loop order
+    (so ``kernel.lower`` fault polls keep their order); then the bridge
+    noise of every lowered loop — the FFT-shaped 1/f realizations, most
+    of a fresh point's wall time — is synthesized in parallel on the
+    same thread budget as the kernel call.
+
     Parameters
     ----------
     loops:
@@ -524,9 +609,11 @@ def run_batch(
         Loop backend; ``"auto"``/``"fused"`` batch through the kernel,
         anything else runs each loop solo through :meth:`run`.
     threads:
-        C-level threads for the batched call (default: CPU count,
-        capped by the ``REPRO_KERNEL_THREADS`` environment variable —
-        see ``docs/FASTPATH.md`` on double-parallelism).
+        Threads for the noise synthesis and the batched C call
+        (default: CPU count, capped by the ``REPRO_KERNEL_THREADS``
+        environment variable — see ``docs/FASTPATH.md`` on
+        double-parallelism).  One thread synthesizes inline and starts
+        no thread; more use one long-lived process-wide pool.
 
     Loops that cannot lower (patched ``step``, custom actuators, noisy
     amplifiers) fall back *per instance* to the reference path with the
@@ -553,7 +640,7 @@ def run_batch(
     kernels: list[FusedLoopKernel | None] = [None] * len(loops)
     preps: list[_PreparedRun | None] = [None] * len(loops)
     for i, loop in enumerate(loops):
-        prep = loop._prepare_run(durations[i], initial_kick)
+        prep = loop._prepare_state(durations[i], initial_kick)
         loop.last_kernel_info = None
         try:
             kernels[i] = loop._lower_kernel(prep.signed_coefficient)
@@ -564,6 +651,10 @@ def run_batch(
         else:
             preps[i] = prep
             groups.setdefault(batch_signature(kernels[i]), []).append(i)
+
+    live = [i for i, prep in enumerate(preps) if prep is not None]
+    for i, prep in zip(live, _with_noise_batch([preps[i] for i in live], threads)):
+        preps[i] = prep
 
     for indices in groups.values():
         batch = KernelBatch(

@@ -10,6 +10,7 @@ which mode wins).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -65,13 +66,15 @@ def mode_shape_tip_normalized(mode: int, xi: np.ndarray) -> np.ndarray:
     return mode_shape(mode, xi) / tip
 
 
+@functools.lru_cache(maxsize=256)
 def effective_mass_fraction(mode: int, samples: int = 20001) -> float:
     """Modal mass / total mass for tip-normalized mode *n*.
 
     ``m_eff = m * integral(phi_n(xi)^2 d xi)`` with ``phi_n(1) = 1``.
     Mode 1 gives the textbook 0.2500 (exactly 1/4 for the ideal clamped-
     free beam); a lumped tip-mass model would use 33/140 ~ 0.2357 from the
-    static deflection shape instead.
+    static deflection shape instead.  A pure function of its arguments,
+    memoized: every loop build asks for the same few modes.
     """
     xi = np.linspace(0.0, 1.0, samples)
     phi = mode_shape_tip_normalized(mode, xi)
@@ -133,12 +136,14 @@ def analyze_modes(geometry: CantileverGeometry, count: int = 3) -> list[Mode]:
     return modes
 
 
+@functools.lru_cache(maxsize=256)
 def modal_participation_of_uniform_load(mode: int, samples: int = 20001) -> float:
     """``integral(phi_n) / integral(phi_n^2)`` for tip-normalized phi.
 
     The modal force produced by a uniformly distributed drive (such as the
     Lorentz force of a coil running along the cantilever edges) is this
-    factor times ``q L`` referenced to tip motion.
+    factor times ``q L`` referenced to tip motion.  Pure and memoized,
+    like :func:`effective_mass_fraction`.
     """
     xi = np.linspace(0.0, 1.0, samples)
     phi = mode_shape_tip_normalized(mode, xi)

@@ -5,18 +5,23 @@ instance of a batch must return waveforms ``np.array_equal`` to its
 solo fused run — across heterogeneous durations, per-instance
 fallbacks, open-loop swept-sine tones, and the executor/sweep-planner
 plumbing above it.  Also pins the ``auto`` backend resolution order
-(never ``interp``), the thread-resolution rules, and the
-double-parallelism guard.
+(never ``interp``), the thread-resolution rules, the
+double-parallelism guard, and the batch's parallel bridge-noise
+synthesis.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 import repro.engine.kernel as kernel_mod
+import repro.feedback.loop as loop_mod
 from repro.config import REFERENCE_RESONANT_SENSOR, build
 from repro.core import ResonantCantileverSensor
 from repro.engine import (
@@ -30,7 +35,7 @@ from repro.engine import (
     kernel_info,
     reset_kernel_info,
 )
-from repro.engine.kernel import MAX_BATCH_THREADS, resolve_backend
+from repro.engine.kernel import COLUMNAR_ENV, MAX_BATCH_THREADS, resolve_backend
 from repro.errors import KernelError
 from repro.feedback import run_batch
 
@@ -169,6 +174,129 @@ class TestPerInstanceFallback:
         assert_records_equal(solo_ref, records[1], "fallback[1]")
         assert_records_equal(solos[1], records[2], "batch[2]")
         assert loops[1].last_kernel_info is None  # reference path ran
+
+
+NOISE_GRID = tuple(float(v) for v in np.linspace(170.0, 260.0, 12))
+
+
+def build_noise_grid():
+    """12 loops: one with a patched step (falls back), one noiseless."""
+    loops = [build_loop(length) for length in NOISE_GRID]
+    original = loops[3].vga.step
+    loops[3].vga.step = lambda x: original(x)
+    loops[7].include_bridge_noise = False
+    return loops
+
+
+def _child_batch(conn):
+    """Forked child: a 4-loop, 2-thread batch with a cold noise memo."""
+    loop_mod._NOISE_MEMO.clear()
+    records = run_batch(
+        [build_loop(length) for length in NOISE_GRID[:4]], DURATION, threads=2
+    )
+    conn.send([[getattr(r, name) for name in WAVEFORMS] for r in records])
+    conn.close()
+
+
+class TestBatchNoiseSynthesis:
+    """Noise synthesized on the batch's threads is the solo noise."""
+
+    @pytest.fixture(autouse=True)
+    def _exact_batch_engines(self, monkeypatch):
+        # no thread ceiling; and no columnar engine, whose contract is
+        # rtol 1e-9 rather than bit-exact (auto picks it at 8+ loops)
+        monkeypatch.delenv(KERNEL_THREADS_ENV, raising=False)
+        monkeypatch.setenv(COLUMNAR_ENV, "0")
+
+    @pytest.fixture(scope="class")
+    def solos(self):
+        return [loop.run(DURATION) for loop in build_noise_grid()]
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_records_equal_solo_for_any_thread_count(self, solos, threads):
+        loop_mod._NOISE_MEMO.clear()  # synthesize, do not replay the memo
+        reset_kernel_info()
+        records = run_batch(build_noise_grid(), DURATION, threads=threads)
+        assert kernel_info().fallbacks == 1
+        for length, solo, rec in zip(NOISE_GRID, solos, records):
+            assert_records_equal(solo, rec, f"threads={threads}[{length}]")
+
+    def test_oversubscribed_slices_racing_on_the_memo(self):
+        # 8 slices on any box, each distinct request asked 4 times at
+        # once, with the interpreter switching threads as often as it can
+        solos = [build_loop(length).run(DURATION) for length in LENGTHS]
+        loop_mod._NOISE_MEMO.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            records = run_batch([build_loop(length) for length in LENGTHS * 4],
+                                DURATION, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for k, rec in enumerate(records):
+            assert_records_equal(solos[k % len(LENGTHS)], rec, f"racing[{k}]")
+
+    def test_one_thread_starts_no_thread(self, monkeypatch):
+        def no_pool():
+            raise AssertionError("noise pool used under a 1-thread budget")
+
+        def no_start(self):
+            raise AssertionError(f"thread {self.name} started")
+
+        solos = [build_loop(length).run(DURATION) for length in LENGTHS]
+        loops = [build_loop(length) for length in LENGTHS]
+        loop_mod._NOISE_MEMO.clear()
+        monkeypatch.setenv(KERNEL_THREADS_ENV, "1")
+        monkeypatch.setattr(loop_mod, "_noise_pool", no_pool)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
+        records = run_batch(loops, DURATION, threads=4)
+        for length, solo, rec in zip(LENGTHS, solos, records):
+            assert_records_equal(solo, rec, f"inline[{length}]")
+
+    def test_forked_child_does_not_reuse_the_parent_pool(self):
+        run_batch([build_loop(length) for length in LENGTHS], DURATION,
+                  threads=2)
+        assert loop_mod._NOISE_POOL is not None
+        assert loop_mod._NOISE_POOL_PID == os.getpid()
+
+        ctx = multiprocessing.get_context("fork")
+        receiver, sender = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_child_batch, args=(sender,))
+        child.start()
+        sender.close()
+        try:
+            if not receiver.poll(60.0):
+                pytest.fail("forked child's batch did not finish")
+            waveforms = receiver.recv()
+        finally:
+            child.join(10.0)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+        for length, got in zip(NOISE_GRID[:4], waveforms):
+            solo = build_loop(length).run(DURATION)
+            for name, arr in zip(WAVEFORMS, got):
+                assert np.array_equal(getattr(solo, name), arr), (length, name)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_synthesis_error_propagates(self, monkeypatch, threads):
+        real = loop_mod._memoized_bridge_noise
+        calls = []
+        lock = threading.Lock()
+
+        def flaky(*args):
+            with lock:
+                calls.append(args)
+                third = len(calls) == 3
+            if third:
+                raise RuntimeError("noise synthesis failed")
+            return real(*args)
+
+        monkeypatch.setattr(loop_mod, "_memoized_bridge_noise", flaky)
+        with pytest.raises(RuntimeError, match="noise synthesis failed"):
+            run_batch([build_loop(length) for length in NOISE_GRID[:6]],
+                      DURATION, threads=threads)
 
 
 class TestKernelBatchValidation:

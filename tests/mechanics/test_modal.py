@@ -131,3 +131,19 @@ class TestParticipation:
         p3 = abs(modal_participation_of_uniform_load(3))
         assert p2 < p1
         assert p3 < p2
+
+
+class TestModalMemo:
+    """The memoized integrals return exactly what the integration does."""
+
+    @pytest.mark.parametrize("samples", [20001, 4001])
+    @pytest.mark.parametrize(
+        "fn", [effective_mass_fraction, modal_participation_of_uniform_load]
+    )
+    def test_memo_matches_integration(self, fn, samples):
+        for mode in range(1, 7):
+            expected = fn.__wrapped__(mode, samples)
+            assert fn(mode, samples) == expected
+            assert fn(mode, samples) == expected  # the cached answer too
+            if samples == 20001:
+                assert fn(mode) == fn.__wrapped__(mode)
