@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint serve-check fabric-check chaos-check bench bench-json bench-batch bench-smoke kernel-check vector-check spec-check fault-check perfbench-test examples docs all clean
+.PHONY: install test lint serve-check fabric-check chaos-check bench bench-json bench-batch bench-smoke kernel-check vector-check spec-check fault-check perfbench-test examples docs docs-check all clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -130,8 +130,19 @@ docs:
 	PYTHONPATH=src $(PYTHON) tools/gen_api_docs.py > docs/API.md
 	@echo "docs/API.md regenerated"
 
+# API-reference drift gate: regenerate docs/API.md into a temp file and
+# diff it against the committed copy (`make docs` refreshes it).
+docs-check:
+	@tmp=$$(mktemp); \
+	PYTHONPATH=src $(PYTHON) tools/gen_api_docs.py > $$tmp || { rm -f $$tmp; exit 1; }; \
+	if diff -u docs/API.md $$tmp; then \
+		rm -f $$tmp; echo "docs-check: docs/API.md in sync"; \
+	else \
+		rm -f $$tmp; echo "docs-check: docs/API.md is stale; run make docs"; exit 1; \
+	fi
+
 # kernel-check's suites already run inside `test`.
-all: lint test spec-check vector-check fault-check bench-smoke serve-check fabric-check chaos-check perfbench-test bench examples
+all: lint test docs-check spec-check vector-check fault-check bench-smoke serve-check fabric-check chaos-check perfbench-test bench examples
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null || true

@@ -663,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--workers", type=int, default=None,
-        help="C-level threads for the batched call (default: CPU count, "
+        help="threads for the batched call (default: CPU count, "
              "capped by REPRO_KERNEL_THREADS)",
     )
     p.add_argument("--cache-dir", default=None, dest="cache_dir",

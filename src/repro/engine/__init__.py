@@ -51,11 +51,9 @@ from .kernel import (
     AUTO_ORDER,
     BACKENDS as KERNEL_BACKENDS,
     BATCH_AUTO_ORDER,
-    BATCH_DECLINE_MIN_SAMPLES,
     BATCH_ENGINES,
     CC_ENV,
     COLUMNAR_ENV,
-    COLUMNAR_MIN_ENV,
     FusedLoopKernel,
     KERNEL_THREADS_ENV,
     KernelBatch,
@@ -102,12 +100,10 @@ __all__ = [
     "AUTO_ORDER",
     "BACKENDS",
     "BATCH_AUTO_ORDER",
-    "BATCH_DECLINE_MIN_SAMPLES",
     "BATCH_ENGINES",
     "CACHE_VERSION",
     "CC_ENV",
     "COLUMNAR_ENV",
-    "COLUMNAR_MIN_ENV",
     "FAULT_KINDS",
     "FAULT_PLAN_ENV",
     "FAULT_SITES",

@@ -57,11 +57,11 @@ CancelFn = Callable[[], bool]
 
 
 def _limit_worker_kernel_threads() -> None:
-    """Process-pool worker initializer: cap C-level kernel threads at 1.
+    """Process-pool worker initializer: cap batched-kernel threads at 1.
 
     A batched kernel inside a process-pool sweep would otherwise
-    multiply parallelism (workers x pthreads); the env ceiling makes
-    each worker's batched calls single-threaded C.
+    multiply parallelism (workers x batch threads); the env ceiling
+    makes each worker's batched calls single-threaded.
     """
     os.environ[KERNEL_THREADS_ENV] = "1"
 
@@ -205,8 +205,8 @@ class BatchExecutor:
         share unpicklable state (e.g. live sensor objects); processes
         suit pure-Python numeric tasks.  ``"kernel-batch"`` hands the
         *whole* grid to the task object's ``batch_call(parameters,
-        threads=)`` method in one call (the batched fused kernel:
-        C-level threads, one ctypes dispatch for the whole sweep);
+        threads=)`` method in one call (the batched fused kernel on
+        the batch's thread budget);
         task functions without ``batch_call`` degrade to serial.
     chunk_size:
         Tasks handed to a process worker per dispatch.  ``None`` picks

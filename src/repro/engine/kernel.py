@@ -45,6 +45,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -60,7 +61,6 @@ __all__ = [
     "AUTO_ORDER",
     "BACKENDS",
     "BATCH_AUTO_ORDER",
-    "BATCH_DECLINE_MIN_SAMPLES",
     "BATCH_ENGINES",
     "CC_ENV",
     "COLUMNAR_ENV",
@@ -84,6 +84,7 @@ __all__ = [
     "kernel_batch_threads",
     "kernel_info",
     "lower_block",
+    "map_sliced",
     "record_batch",
     "record_batch_declined",
     "record_degrade",
@@ -126,19 +127,19 @@ BACKENDS = ("auto", "reference", "fused", "interp")
 AUTO_ORDER = ("fused:cc", "fused:codegen")
 
 #: Batch-level engine choices accepted by ``KernelBatch.run(engine=)``.
-#: ``row`` is the PR-4 pthreaded per-instance interpreter (bit-identical
-#: to solo fused runs); ``columnar`` is the vectorized structure-of-arrays
-#: engine in :mod:`~repro.engine.kernel_columnar` (its own tolerance
-#: contract, see ``docs/FASTPATH.md``).
-BATCH_ENGINES = ("auto", "columnar", "row")
+#: ``columnar`` is the vectorized structure-of-arrays engine in
+#: :mod:`~repro.engine.kernel_columnar` (its own tolerance contract, see
+#: ``docs/FASTPATH.md``); ``auto`` may also run the instances one by one
+#: through their solo fused runs (bit-identical by construction).
+BATCH_ENGINES = ("auto", "columnar")
 
 #: Resolution order of batch ``engine="auto"``: the columnar SoA C
-#: engine when a compiler is trusted and the batch is wide enough
-#: (``COLUMNAR_MIN_INSTANCES``, or forced via ``REPRO_COLUMNAR``), the
-#: row-major pthread batch otherwise, per-instance solo fused runs
-#: without a compiler.  ``auto`` never picks the NumPy columnar twin —
-#: it relaxes bit-exactness and is only reachable by explicit request.
-BATCH_AUTO_ORDER = ("columnar:cc", "row:cc", "fused:solo")
+#: engine when the batch is at least ``COLUMNAR_MIN_INSTANCES`` wide and
+#: the compiler is trusted (or when forced via ``REPRO_COLUMNAR``), else
+#: every instance's solo fused run, fanned out over the batch's threads.
+#: ``auto`` never picks the NumPy columnar twin — it relaxes
+#: bit-exactness and is only reachable by explicit request.
+BATCH_AUTO_ORDER = ("columnar:cc", "fused:solo")
 
 #: ``REPRO_COLUMNAR=1`` forces the columnar batch engine everywhere
 #: (degrading to its NumPy twin without a compiler);
@@ -147,16 +148,8 @@ COLUMNAR_ENV = "REPRO_COLUMNAR"
 
 #: Minimum batch width before ``auto`` routes to the columnar engine —
 #: below this the stride-1 instance sweeps are too narrow to pay for
-#: the SoA transposes.  Override with ``REPRO_COLUMNAR_MIN``.
+#: the SoA transposes.
 COLUMNAR_MIN_INSTANCES = 8
-COLUMNAR_MIN_ENV = "REPRO_COLUMNAR_MIN"
-
-#: Decline heuristic for the row batch: a narrow batch of programs at
-#: least this long, at one C thread, gains nothing from batch dispatch
-#: (the padded matrices and strided partition cost more than the serial
-#: fused loop) — ``KernelBatch.run`` then falls through to solo fused
-#: runs and counts it in ``kernel_info().batch_declined``.
-BATCH_DECLINE_MIN_SAMPLES = 8192
 
 
 def _columnar_override() -> bool | None:
@@ -167,18 +160,6 @@ def _columnar_override() -> bool | None:
     if env in ("0", "off", "never", "false"):
         return False
     return None
-
-
-def _columnar_min_instances() -> int:
-    env = os.environ.get(COLUMNAR_MIN_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            logger.warning(
-                "ignoring non-integer %s=%r", COLUMNAR_MIN_ENV, env
-            )
-    return COLUMNAR_MIN_INSTANCES
 
 
 @dataclass(frozen=True)
@@ -402,13 +383,15 @@ class KernelInfo:
     #: compiler installed" are not degrades.
     degrades: int = 0
     last_degrade_reason: str | None = None
-    #: Row batches declined by the overhead heuristic (the instances ran
-    #: serial fused instead; ``batch_runs`` does not count them).
+    #: Every batch run counts in exactly one of ``batch_declined`` (its
+    #: instances ran one by one through solo fused; the reason says
+    #: why: too narrow, ``REPRO_COLUMNAR=0``, or no columnar C engine)
+    #: and ``batch_columnar_runs`` (SoA C engine or its NumPy twin).
     batch_declined: int = 0
     last_decline_reason: str | None = None
-    #: Batch dispatch counts per engine family: columnar (SoA C engine
-    #: or its NumPy twin) vs row (the PR-4 pthreaded interpreter).
     batch_columnar_runs: int = 0
+    #: Retired with the row-batch engine: always 0, kept so readers of
+    #: the counter keep working.
     batch_row_runs: int = 0
     last_batch_engine: str | None = None
     #: Per-op profile histogram: op name -> instance-samples executed
@@ -428,32 +411,36 @@ class KernelInfo:
 
 
 _STATS: dict = {}
+#: Guards every read-modify-write of ``_STATS`` and ``_PROGRAM_PROFILE``:
+#: batch slices and thread-pool executors record runs concurrently.
+_STATS_LOCK = threading.Lock()
 
 
 def reset_kernel_info() -> None:
     """Zero the module-wide kernel counters."""
-    _STATS.clear()
-    _STATS.update(
-        runs={},
-        total_samples=0,
-        fallbacks=0,
-        last_fallback_reason=None,
-        last_backend=None,
-        last_compile_seconds=0.0,
-        last_samples_per_second=0.0,
-        batch_runs=0,
-        batch_instances=0,
-        last_batch_threads=0,
-        degrades=0,
-        last_degrade_reason=None,
-        batch_declined=0,
-        last_decline_reason=None,
-        batch_columnar_runs=0,
-        batch_row_runs=0,
-        last_batch_engine=None,
-        op_samples={},
-        fusion_decisions=[],
-    )
+    with _STATS_LOCK:
+        _STATS.clear()
+        _STATS.update(
+            runs={},
+            total_samples=0,
+            fallbacks=0,
+            last_fallback_reason=None,
+            last_backend=None,
+            last_compile_seconds=0.0,
+            last_samples_per_second=0.0,
+            batch_runs=0,
+            batch_instances=0,
+            last_batch_threads=0,
+            degrades=0,
+            last_degrade_reason=None,
+            batch_declined=0,
+            last_decline_reason=None,
+            batch_columnar_runs=0,
+            batch_row_runs=0,
+            last_batch_engine=None,
+            op_samples={},
+            fusion_decisions=[],
+        )
 
 
 reset_kernel_info()
@@ -461,73 +448,78 @@ reset_kernel_info()
 
 def kernel_info() -> KernelInfo:
     """Backend usage, compile time, and throughput counters."""
-    return KernelInfo(
-        cc_available=cc_available(),
-        runs=dict(_STATS["runs"]),
-        total_samples=_STATS["total_samples"],
-        fallbacks=_STATS["fallbacks"],
-        last_fallback_reason=_STATS["last_fallback_reason"],
-        last_backend=_STATS["last_backend"],
-        last_compile_seconds=_STATS["last_compile_seconds"],
-        last_samples_per_second=_STATS["last_samples_per_second"],
-        batch_runs=_STATS["batch_runs"],
-        batch_instances=_STATS["batch_instances"],
-        last_batch_threads=_STATS["last_batch_threads"],
-        cc_build_error=_CC_BUILD_ERROR,
-        cc_quarantined=not get_breaker("kernel-cc").allow(),
-        degrades=_STATS["degrades"],
-        last_degrade_reason=_STATS["last_degrade_reason"],
-        batch_declined=_STATS["batch_declined"],
-        last_decline_reason=_STATS["last_decline_reason"],
-        batch_columnar_runs=_STATS["batch_columnar_runs"],
-        batch_row_runs=_STATS["batch_row_runs"],
-        last_batch_engine=_STATS["last_batch_engine"],
-        op_samples=dict(_STATS["op_samples"]),
-        fusion_decisions=tuple(_STATS["fusion_decisions"]),
-    )
+    available = cc_available()
+    quarantined = not get_breaker("kernel-cc").allow()
+    with _STATS_LOCK:
+        return KernelInfo(
+            cc_available=available,
+            runs=dict(_STATS["runs"]),
+            total_samples=_STATS["total_samples"],
+            fallbacks=_STATS["fallbacks"],
+            last_fallback_reason=_STATS["last_fallback_reason"],
+            last_backend=_STATS["last_backend"],
+            last_compile_seconds=_STATS["last_compile_seconds"],
+            last_samples_per_second=_STATS["last_samples_per_second"],
+            batch_runs=_STATS["batch_runs"],
+            batch_instances=_STATS["batch_instances"],
+            last_batch_threads=_STATS["last_batch_threads"],
+            cc_build_error=_CC_BUILD_ERROR,
+            cc_quarantined=quarantined,
+            degrades=_STATS["degrades"],
+            last_degrade_reason=_STATS["last_degrade_reason"],
+            batch_declined=_STATS["batch_declined"],
+            last_decline_reason=_STATS["last_decline_reason"],
+            batch_columnar_runs=_STATS["batch_columnar_runs"],
+            batch_row_runs=_STATS["batch_row_runs"],
+            last_batch_engine=_STATS["last_batch_engine"],
+            op_samples=dict(_STATS["op_samples"]),
+            fusion_decisions=tuple(_STATS["fusion_decisions"]),
+        )
 
 
 def record_run(
     backend: str, n_samples: int, run_seconds: float, compile_seconds: float = 0.0
 ) -> None:
     """Account one closed-loop run (kernel backends call this internally)."""
-    _STATS["runs"][backend] = _STATS["runs"].get(backend, 0) + 1
-    _STATS["total_samples"] += int(n_samples)
-    _STATS["last_backend"] = backend
-    _STATS["last_compile_seconds"] = float(compile_seconds)
-    if run_seconds > 0.0:
-        _STATS["last_samples_per_second"] = n_samples / run_seconds
+    with _STATS_LOCK:
+        _STATS["runs"][backend] = _STATS["runs"].get(backend, 0) + 1
+        _STATS["total_samples"] += int(n_samples)
+        _STATS["last_backend"] = backend
+        _STATS["last_compile_seconds"] = float(compile_seconds)
+        if run_seconds > 0.0:
+            _STATS["last_samples_per_second"] = n_samples / run_seconds
 
 
 def record_batch(
     n_instances: int, threads: int,
     total_samples: int = 0, run_seconds: float = 0.0,
-    engine: str = "row",
+    engine: str = "solo",
 ) -> None:
     """Account one batched kernel call (:class:`KernelBatch` internal).
 
-    ``engine`` is the batch machinery that dispatched: ``"row"``,
-    ``"columnar"``/``"columnar-np"``, or ``"solo"`` (the no-compiler
-    per-instance fallback, which still counts as a batch run).
+    ``engine`` is the batch machinery that dispatched:
+    ``"columnar"``/``"columnar-np"``, or ``"solo"`` (every instance
+    through its solo fused run, also counted by
+    :func:`record_batch_declined`).
     """
-    _STATS["batch_runs"] += 1
-    _STATS["batch_instances"] += int(n_instances)
-    _STATS["last_batch_threads"] = int(threads)
-    _STATS["last_batch_engine"] = str(engine)
-    if engine in ("columnar", "columnar-np"):
-        _STATS["batch_columnar_runs"] += 1
-    elif engine == "row":
-        _STATS["batch_row_runs"] += 1
-    if run_seconds > 0.0 and total_samples:
-        _STATS["last_samples_per_second"] = total_samples / run_seconds
+    with _STATS_LOCK:
+        _STATS["batch_runs"] += 1
+        _STATS["batch_instances"] += int(n_instances)
+        _STATS["last_batch_threads"] = int(threads)
+        _STATS["last_batch_engine"] = str(engine)
+        if engine in ("columnar", "columnar-np"):
+            _STATS["batch_columnar_runs"] += 1
+        if run_seconds > 0.0 and total_samples:
+            _STATS["last_samples_per_second"] = total_samples / run_seconds
 
 
 def record_batch_declined(n_instances: int, reason: str) -> None:
-    """Account one batch the overhead heuristic sent to serial fused."""
-    _STATS["batch_declined"] += 1
-    _STATS["last_decline_reason"] = str(reason)
-    logger.info(
-        "kernel batch declined for %d instances (%s); running serial fused",
+    """Account one batch that ran its instances through solo fused."""
+    with _STATS_LOCK:
+        _STATS["batch_declined"] += 1
+        _STATS["last_decline_reason"] = str(reason)
+    logger.debug(
+        "kernel batch of %d instances runs them solo (%s)",
         n_instances, reason,
     )
 
@@ -546,31 +538,35 @@ _PROGRAM_PROFILE: dict[tuple, int] = {}
 
 def record_op_profile(kinds: Sequence[int], samples: int) -> None:
     """Add ``samples`` instance-samples to each op's profile counter."""
-    hist = _STATS["op_samples"]
-    for k in kinds:
-        name = OP_NAMES[k]
-        hist[name] = hist.get(name, 0) + int(samples)
+    with _STATS_LOCK:
+        hist = _STATS["op_samples"]
+        for k in kinds:
+            name = OP_NAMES[k]
+            hist[name] = hist.get(name, 0) + int(samples)
 
 
 def _note_program_samples(signature: tuple, samples: int) -> int:
     """Accumulate a program shape's lifetime sample count; return it."""
-    total = _PROGRAM_PROFILE.get(signature, 0) + int(samples)
-    _PROGRAM_PROFILE[signature] = total
+    with _STATS_LOCK:
+        total = _PROGRAM_PROFILE.get(signature, 0) + int(samples)
+        _PROGRAM_PROFILE[signature] = total
     return total
 
 
 def record_fusion_decision(decision: dict) -> None:
     """Append one columnar fusion decision (capped, newest last)."""
-    decisions = _STATS["fusion_decisions"]
-    decisions.append(dict(decision))
-    if len(decisions) > 32:
-        del decisions[0]
+    with _STATS_LOCK:
+        decisions = _STATS["fusion_decisions"]
+        decisions.append(dict(decision))
+        if len(decisions) > 32:
+            del decisions[0]
 
 
 def record_fallback(reason: str) -> None:
     """Account one lowering failure (loop simulators call this)."""
-    _STATS["fallbacks"] += 1
-    _STATS["last_fallback_reason"] = str(reason)
+    with _STATS_LOCK:
+        _STATS["fallbacks"] += 1
+        _STATS["last_fallback_reason"] = str(reason)
     logger.info("fused kernel fallback to reference path: %s", reason)
 
 
@@ -581,8 +577,9 @@ def record_degrade(reason: str) -> None:
     executed further down the order for a *runtime* reason — a failed
     build, an injected compile fault, or a quarantined engine.
     """
-    _STATS["degrades"] += 1
-    _STATS["last_degrade_reason"] = str(reason)
+    with _STATS_LOCK:
+        _STATS["degrades"] += 1
+        _STATS["last_degrade_reason"] = str(reason)
     logger.info("kernel degraded down AUTO_ORDER: %s", reason)
 
 
@@ -878,17 +875,20 @@ def _allocate_lists(n: int):
 
 # -- batched multi-instance execution ----------------------------------------------
 #
-# A whole sweep as ONE compiled call: N independent instances of the
-# same program *shape* (op kinds + state layout), each with its own
-# parameter/state/noise/actuator block, partitioned across C pthreads.
-# Per-instance arithmetic is the exact solo interpreter loop, so every
-# instance's waveforms are bit-identical to its solo fused run.
+# N independent instances of the same program *shape* (op kinds + state
+# layout), each with its own parameter/state/noise/actuator block.  A
+# wide batch runs as one columnar structure-of-arrays call
+# (:mod:`~repro.engine.kernel_columnar`); any other batch runs every
+# instance through its solo fused run, in strided slices over one
+# long-lived thread pool — bit-identical to solo execution by
+# construction.
 
-#: Hard ceiling on C-level batch threads (matches the C entry point).
+#: Hard ceiling on batch threads (the pool size; the columnar C entry
+#: point clamps to the same).
 MAX_BATCH_THREADS = 64
 
-#: Environment variable capping C-level batch threads.  Process-pool
-#: sweep workers set it to "1" so a batched kernel inside an outer
+#: Environment variable capping batch threads.  Process-pool sweep
+#: workers set it to "1" so a batched kernel inside an outer
 #: ``BatchExecutor(backend="process")`` never multiplies parallelism.
 KERNEL_THREADS_ENV = "REPRO_KERNEL_THREADS"
 
@@ -896,12 +896,12 @@ KERNEL_THREADS_ENV = "REPRO_KERNEL_THREADS"
 def kernel_batch_threads(
     requested: int | None = None, n_instances: int | None = None
 ) -> int:
-    """Resolve the C-level thread count for a batched kernel call.
+    """Resolve the thread count for a batched kernel call.
 
     ``requested`` wins when given; otherwise the CPU count.  The
     ``REPRO_KERNEL_THREADS`` environment variable acts as a *ceiling*
     on either (that is how process-pool workers force single-threaded
-    C, see :class:`~repro.engine.executor.BatchExecutor`).  The result
+    batches, see :class:`~repro.engine.executor.BatchExecutor`).  The result
     is clamped to ``[1, min(n_instances, MAX_BATCH_THREADS)]``.
     """
     threads = int(requested) if requested is not None else (os.cpu_count() or 1)
@@ -919,6 +919,60 @@ def kernel_batch_threads(
     return min(threads, MAX_BATCH_THREADS)
 
 
+#: One long-lived pool for a batch's slices (bridge-noise synthesis,
+#: solo fused runs), created on first use and re-created in a forked
+#: child (whose inherited pool has no live threads).  A pool per call
+#: would land every fresh thread in another malloc arena, which the
+#: kernel's raised trim threshold then keeps resident: long-lived
+#: threads keep the arena count, and RSS, flat.
+_BATCH_POOL: ThreadPoolExecutor | None = None
+_BATCH_POOL_PID: int | None = None
+_BATCH_POOL_LOCK = threading.Lock()
+
+
+def _batch_pool() -> ThreadPoolExecutor:
+    global _BATCH_POOL, _BATCH_POOL_PID
+    with _BATCH_POOL_LOCK:
+        if _BATCH_POOL is None or _BATCH_POOL_PID != os.getpid():
+            _BATCH_POOL = ThreadPoolExecutor(
+                max_workers=MAX_BATCH_THREADS, thread_name_prefix="repro-batch"
+            )
+            _BATCH_POOL_PID = os.getpid()
+        return _BATCH_POOL
+
+
+def map_sliced(
+    fn: Callable, items: Sequence, threads: int | None = None
+) -> list:
+    """``[fn(x) for x in items]`` on a batch's thread budget.
+
+    ``kernel_batch_threads(threads, len(items))`` strided slices: the
+    caller runs the first, the shared pool the rest (the C engine and
+    NumPy's FFTs release the GIL, so slices overlap).  One thread runs
+    inline and starts none.  Every slice's result is read, so an error
+    in any slice raises here.
+    """
+    items = list(items)
+    t = kernel_batch_threads(threads, len(items))
+    if t == 1:
+        return [fn(x) for x in items]
+    out: list = [None] * len(items)
+
+    def fill(start: int) -> None:
+        for k in range(start, len(items), t):
+            out[k] = fn(items[k])
+
+    pool = _batch_pool()
+    futures = [pool.submit(fill, s) for s in range(1, t)]
+    try:
+        fill(0)
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+    return out
+
+
 def batch_signature(kernel: FusedLoopKernel) -> tuple:
     """The program *shape* a batch must share: op kinds, state-index
     layout, mode count and state width.  Kernels with equal signatures
@@ -933,7 +987,7 @@ def batch_signature(kernel: FusedLoopKernel) -> tuple:
 
 
 class KernelBatch:
-    """N same-shape kernel instances executed as one compiled call.
+    """N same-shape kernel instances executed as one batch.
 
     Parameters
     ----------
@@ -948,11 +1002,10 @@ class KernelBatch:
         Per-instance bridge-noise (or drive-force) waveforms, each at
         least ``ns[i]`` samples.
 
-    ``run()`` executes every instance through the C ``run_program_batch``
-    entry point when a compiler is available (pthread-partitioned, no
-    shared mutable state) and otherwise falls back to per-instance solo
-    fused runs — both bit-identical to solo execution, which the golden
-    suite pins with ``np.array_equal``.
+    ``run()`` executes a wide batch through the columnar engine and any
+    other batch instance by instance through the solo fused runs —
+    bit-identical to solo execution, which the golden suite pins with
+    ``np.array_equal``.
     """
 
     def __init__(
@@ -993,24 +1046,20 @@ class KernelBatch:
     def n_instances(self) -> int:
         return len(self.kernels)
 
-    @property
-    def n_max(self) -> int:
-        return max(self.ns)
-
     def run(
         self, threads: int | None = None, engine: str = "auto"
     ) -> list[KernelRunResult]:
         """Execute all instances; one :class:`KernelRunResult` each, in
         input order.
 
-        ``engine`` picks the batch machinery: ``"row"`` is the
-        pthreaded per-instance interpreter (bit-identical to solo fused
-        runs), ``"columnar"`` the vectorized structure-of-arrays engine
-        (within-tolerance contract — see ``docs/FASTPATH.md``), and
-        ``"auto"`` follows :data:`BATCH_AUTO_ORDER`: columnar for wide
-        batches when the C engine is trusted (or ``REPRO_COLUMNAR=1``),
-        the row engine otherwise, with the decline heuristic sending
-        narrow batches of long programs straight to serial fused.
+        ``engine="columnar"`` (or ``REPRO_COLUMNAR=1``) runs the
+        vectorized structure-of-arrays engine (within-tolerance
+        contract — see ``docs/FASTPATH.md``).  ``"auto"`` follows
+        :data:`BATCH_AUTO_ORDER`: columnar when the batch is at least
+        :data:`COLUMNAR_MIN_INSTANCES` wide and the C engine is
+        trusted, otherwise every instance's solo fused run
+        (bit-identical) in ``kernel_batch_threads(threads, n)`` strided
+        slices, counted in ``kernel_info().batch_declined``.
         """
         if engine not in BATCH_ENGINES:
             raise KernelError(
@@ -1019,55 +1068,28 @@ class KernelBatch:
             )
         threads_used = kernel_batch_threads(threads, self.n_instances)
         override = _columnar_override()
-        explicit = engine == "columnar" or override is True
-        if engine == "auto":
-            choice, reason = self._resolve_engine(threads_used, override)
+        if engine == "columnar" or override is True:
+            return self._run_columnar(threads_used, explicit=True)
+        if override is False:
+            reason = f"disabled by {COLUMNAR_ENV}=0"
+        elif self.n_instances < COLUMNAR_MIN_INSTANCES:
+            reason = (
+                f"{self.n_instances} instances < {COLUMNAR_MIN_INSTANCES}"
+            )
         else:
-            choice, reason = engine, "requested"
-
-        if choice == "columnar":
-            results = self._run_columnar(threads_used, explicit)
+            results = self._run_columnar(threads_used, explicit=False)
             if results is not None:
                 return results
-            choice = "row"  # columnar C engine degraded: row path next
-
-        if choice == "declined":
-            record_batch_declined(self.n_instances, reason)
-            return [
-                kernel.run(n, noise, backend="fused")
-                for kernel, n, noise in zip(self.kernels, self.ns, self.noises)
-            ]
-
-        return self._run_row(threads_used)
-
-    def _resolve_engine(
-        self, threads_used: int, override: bool | None
-    ) -> tuple[str, str]:
-        """``engine="auto"`` resolution (see :data:`BATCH_AUTO_ORDER`)."""
-        if override is True:
-            return "columnar", f"forced by {COLUMNAR_ENV}"
-        cc = cc_usable()
-        if (
-            override is not False
-            and cc
-            and self.n_instances >= _columnar_min_instances()
-        ):
-            return "columnar", (
-                f"{self.n_instances} instances >= "
-                f"{_columnar_min_instances()}"
-            )
-        if (
-            cc
-            and threads_used == 1
-            and self.n_instances < _columnar_min_instances()
-            and min(self.ns) >= BATCH_DECLINE_MIN_SAMPLES
-        ):
-            return "declined", (
-                f"{self.n_instances} instances x >= {min(self.ns)} "
-                "samples at 1 thread: batch dispatch would not beat "
-                "serial fused"
-            )
-        return "row", "default"
+            reason = "columnar C engine unavailable"
+        results = map_sliced(
+            lambda i: self.kernels[i].run(
+                self.ns[i], self.noises[i], backend="fused"
+            ),
+            range(self.n_instances), threads_used,
+        )
+        record_batch(self.n_instances, threads_used, engine="solo")
+        record_batch_declined(self.n_instances, reason)
+        return results
 
     def _run_columnar(
         self, threads_used: int, explicit: bool
@@ -1076,7 +1098,7 @@ class KernelBatch:
 
         Returns ``None`` when the compiled columnar engine is
         unavailable and the request was implicit (``auto``) — the
-        caller then degrades to the bit-identical row path.  An
+        caller then degrades to the bit-identical solo runs.  An
         explicit request (``engine="columnar"`` / ``REPRO_COLUMNAR=1``)
         falls back to the NumPy columnar twin instead, keeping the
         columnar tolerance contract rather than silently switching it.
@@ -1098,7 +1120,7 @@ class KernelBatch:
                     record_degrade(str(err))
                     logger.warning(
                         "columnar C engine unavailable (%s); using %s",
-                        err, "NumPy twin" if explicit else "row batch",
+                        err, "NumPy twin" if explicit else "solo fused runs",
                     )
             else:
                 record_degrade(blocked)
@@ -1111,141 +1133,12 @@ class KernelBatch:
             return kernel_columnar.run_columnar_numpy(self, timer)
         return None
 
-    def _run_row(self, threads_used: int) -> list[KernelRunResult]:
-        """The PR-4 row-major pthreaded batch (bit-identical to solo)."""
-        timer = StageTimer()
-        batch_fn = None
-        if cc_available():
-            breaker = get_breaker("kernel-cc")
-            blocked = _cc_engine_blocked()
-            if blocked is None:
-                try:
-                    with timer.stage("compile"):
-                        batch_fn = _cc_batch_interpreter()
-                    breaker.record_success()
-                except KernelError as err:
-                    breaker.record_failure(str(err))
-                    record_degrade(str(err))
-                    logger.warning(
-                        "C batch engine unavailable (%s); "
-                        "running instances solo", err,
-                    )
-            else:
-                record_degrade(blocked)
-                logger.info(
-                    "C batch engine skipped (%s); "
-                    "running instances solo", blocked,
-                )
-        if batch_fn is None:
-            results = [
-                kernel.run(n, noise, backend="fused")
-                for kernel, n, noise in zip(self.kernels, self.ns, self.noises)
-            ]
-            record_batch(self.n_instances, 1, engine="solo")
-            return results
-        return self._run_cc(batch_fn, threads_used, timer)
-
-    def _run_cc(self, batch_fn, threads_used: int, timer: StageTimer):
-        n_inst = self.n_instances
-        n_max = self.n_max
-        rep = self.kernels[0]
-        n_ops, n_modes, n_state = rep.n_ops, len(rep.modes), rep.n_state
-
-        kinds = np.asarray(rep._kinds, dtype=np.int64)
-        sidx = np.asarray(rep._sidx, dtype=np.int64)
-        params = np.asarray(
-            [k._params for k in self.kernels], dtype=float
-        ).reshape(n_inst, n_ops, _N_PARAMS)
-        p_cols = tuple(
-            np.ascontiguousarray(params[:, :, j]) for j in range(_N_PARAMS)
-        )
-        state = np.asarray(
-            [k._state0 for k in self.kernels], dtype=float
-        ).reshape(n_inst, n_state)
-        mode_coef = np.asarray(
-            [[c for m in k.modes
-              for c in (m.a11, m.a12, m.a21, m.a22, m.b1, m.b2, m.coef)]
-             for k in self.kernels], dtype=float,
-        ).reshape(n_inst, 7 * n_modes)
-        mode_state = np.asarray(
-            [[c for m in k.modes for c in (m.x0, m.v0)]
-             for k in self.kernels], dtype=float,
-        ).reshape(n_inst, 2 * n_modes)
-        act = np.asarray(
-            [[k.act_r, k.act_imax, k.act_fpc] for k in self.kernels],
-            dtype=float,
-        )
-        ns_arr = np.asarray(self.ns, dtype=np.int64)
-        noise = np.zeros((n_inst, n_max))
-        for i, w in enumerate(self.noises):
-            noise[i, :len(w)] = w
-
-        out_disp = np.empty((n_inst, n_max))
-        out_bridge = np.empty((n_inst, n_max))
-        if rep.has_taps:
-            aux_stride = n_max
-            aux = [np.empty((n_inst, n_max)) for _ in range(3)]
-        else:
-            aux_stride = 0
-            aux = [np.zeros(1) for _ in range(3)]
-
-        with timer.stage("run"):
-            batch_fn(
-                n_inst, threads_used, n_max, aux_stride,
-                n_modes, n_ops, n_state,
-                ns_arr, kinds, sidx, *p_cols,
-                state, mode_coef, mode_state, noise, act,
-                out_disp, out_bridge, *aux,
-            )
-
-        run_seconds = timer.seconds("run")
-        compile_seconds = timer.seconds("compile")
-        total = sum(self.ns)
-        record_op_profile(rep._kinds, total)
-        _note_program_samples(self.signature, total)
-        results = []
-        for i, kernel in enumerate(self.kernels):
-            n_i = self.ns[i]
-            kernel._sync_stages([float(s) for s in state[i]])
-            if rep.has_taps:
-                limin = aux[0][i, :n_i]
-                limout = aux[1][i, :n_i]
-                drive = aux[2][i, :n_i]
-            else:
-                # tapless program: the taps were never computed — one
-                # shared zero row stands in for all three waveforms
-                limin = limout = drive = np.zeros(n_i)
-            info = KernelRunInfo(
-                backend="fused",
-                engine="cc-batch",
-                n_samples=n_i,
-                n_ops=n_ops,
-                n_state=n_state,
-                lower_seconds=0.0,
-                compile_seconds=compile_seconds if i == 0 else 0.0,
-                run_seconds=run_seconds if i == 0 else 0.0,
-            )
-            record_run("fused", n_i, 0.0, 0.0)
-            # row slices are views into the batch matrices (no copy);
-            # they keep the matrices alive, which callers slicing a few
-            # instances out of a huge batch may np.ascontiguousarray()
-            results.append(KernelRunResult(
-                displacement=out_disp[i, :n_i],
-                bridge_voltage=out_bridge[i, :n_i],
-                limiter_input=limin,
-                limiter_output=limout,
-                drive_voltage=drive,
-                mode_state=[float(s) for s in mode_state[i]],
-                info=info,
-            ))
-        record_batch(n_inst, threads_used, total, run_seconds)
-        return results
-
 
 # -- code generation ---------------------------------------------------------------
 
 _SOURCE_CACHE: dict[str, Callable] = {}
 _SOURCE_CACHE_MAX = 256
+_SOURCE_CACHE_LOCK = threading.Lock()
 
 
 def _lit(x: float) -> str:
@@ -1367,15 +1260,17 @@ def _generate_source(kinds, params, sidx, n_state, modes, act_r, act_imax, act_f
 
 
 def _compile_source(source: str) -> Callable:
-    fn = _SOURCE_CACHE.get(source)
-    if fn is None:
-        # repr(float("inf")) in _lit() emits the bare names inf/nan
-        namespace = {"tanh": math.tanh, "inf": math.inf, "nan": math.nan}
-        exec(compile(source, "<repro.engine.kernel generated>", "exec"), namespace)
-        fn = namespace["_fused"]
-        if len(_SOURCE_CACHE) >= _SOURCE_CACHE_MAX:
-            _SOURCE_CACHE.pop(next(iter(_SOURCE_CACHE)))
-        _SOURCE_CACHE[source] = fn
+    with _SOURCE_CACHE_LOCK:  # batch slices compile concurrently
+        fn = _SOURCE_CACHE.get(source)
+        if fn is None:
+            # repr(float("inf")) in _lit() emits the bare names inf/nan
+            namespace = {"tanh": math.tanh, "inf": math.inf, "nan": math.nan}
+            exec(compile(source, "<repro.engine.kernel generated>", "exec"),
+                 namespace)
+            fn = namespace["_fused"]
+            if len(_SOURCE_CACHE) >= _SOURCE_CACHE_MAX:
+                _SOURCE_CACHE.pop(next(iter(_SOURCE_CACHE)))
+            _SOURCE_CACHE[source] = fn
     return fn
 
 
@@ -1579,97 +1474,9 @@ void run_program(
         out_disp[i] = mode_state[0];
     }
 }
-
-/* -- batched execution: N independent instances of one program shape --
- *
- * All instances share the op-kind/state-index layout (kinds, sidx) but
- * carry per-instance parameter, state, mode, noise and actuator blocks,
- * laid out as C-contiguous rows.  Each worker thread owns a strided
- * partition of the instances; instances never share mutable memory, so
- * there is no locking and the per-instance arithmetic is the exact
- * run_program() loop above (bit-identity with solo runs).
- *
- * aux_stride is the row stride of the limiter/drive tap outputs; a
- * tapless program passes aux_stride == 0 with 1-element dummies (the
- * taps are never written).
- */
-
-#include <pthread.h>
-
-typedef struct {
-    long start, step;
-    long n_instances, n_max, aux_stride;
-    long n_modes, n_ops, n_state;
-    const long *ns; const long *kinds; const long *sidx;
-    const double *p0; const double *p1; const double *p2;
-    const double *p3; const double *p4;
-    double *state; const double *mode_coef; double *mode_state;
-    const double *noise; const double *act;
-    double *out_disp; double *out_bridge;
-    double *out_limin; double *out_limout; double *out_drive;
-} batch_args;
-
-static void *batch_worker(void *arg)
-{
-    batch_args *a = (batch_args *)arg;
-    for (long i = a->start; i < a->n_instances; i += a->step) {
-        long aux = i * a->aux_stride;
-        run_program(
-            a->ns[i], a->n_modes, a->n_ops,
-            a->kinds,
-            a->p0 + i * a->n_ops, a->p1 + i * a->n_ops,
-            a->p2 + i * a->n_ops, a->p3 + i * a->n_ops,
-            a->p4 + i * a->n_ops,
-            a->sidx,
-            a->state + i * a->n_state,
-            a->mode_coef + i * 7 * a->n_modes,
-            a->mode_state + i * 2 * a->n_modes,
-            a->noise + i * a->n_max,
-            a->act[3*i], a->act[3*i + 1], a->act[3*i + 2],
-            a->out_disp + i * a->n_max,
-            a->out_bridge + i * a->n_max,
-            a->out_limin + aux, a->out_limout + aux, a->out_drive + aux);
-    }
-    return 0;
-}
-
-void run_program_batch(
-    long n_instances, long n_threads, long n_max, long aux_stride,
-    long n_modes, long n_ops, long n_state,
-    const long *ns, const long *kinds, const long *sidx,
-    const double *p0, const double *p1, const double *p2,
-    const double *p3, const double *p4,
-    double *state, const double *mode_coef, double *mode_state,
-    const double *noise, const double *act,
-    double *out_disp, double *out_bridge, double *out_limin,
-    double *out_limout, double *out_drive)
-{
-    if (n_threads > n_instances) n_threads = n_instances;
-    if (n_threads > 64) n_threads = 64;
-    if (n_threads < 1) n_threads = 1;
-    batch_args args[64];
-    pthread_t tids[64];
-    for (long t = 0; t < n_threads; t++) {
-        batch_args a = { t, n_threads, n_instances, n_max, aux_stride,
-            n_modes, n_ops, n_state, ns, kinds, sidx, p0, p1, p2, p3, p4,
-            state, mode_coef, mode_state, noise, act,
-            out_disp, out_bridge, out_limin, out_limout, out_drive };
-        args[t] = a;
-    }
-    long launched = 0;
-    for (long t = 1; t < n_threads; t++) {
-        if (pthread_create(&tids[launched], 0, batch_worker, &args[t]) != 0)
-            batch_worker(&args[t]);   /* spawn failed: run inline */
-        else
-            launched++;
-    }
-    batch_worker(&args[0]);
-    for (long t = 0; t < launched; t++)
-        pthread_join(tids[t], 0);
-}
 """
 
-_CC_FLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-pthread"]
+_CC_FLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
 
 
 def _cc_cache_dir() -> str:
@@ -1687,7 +1494,7 @@ def _cc_compile_so(
     The shared object lands in the per-user cache directory keyed by
     ``sha256(source + flags)`` with an atomic replace, so concurrent
     builders agree and a cache hit makes "compile time" a dlopen.  The
-    solo/row interpreter (``stem="kernel"``) and the columnar engine
+    solo interpreter (``stem="kernel"``) and the columnar engine
     (``stem="columnar"``, :mod:`~repro.engine.kernel_columnar`) share
     this machinery.  Raises :class:`KernelError` on build failure.
     """
@@ -1736,30 +1543,8 @@ def _cc_build() -> Callable:
             state, mode_coef, mode_state, noise,
             act_r, act_imax, act_fpc, *outs)
 
-    lib.run_program_batch.restype = None
-    lib.run_program_batch.argtypes = (
-        [ctypes.c_long] * 7     # n_instances/threads/n_max/aux_stride/modes/ops/state
-        + [idx] * 3             # ns, kinds, sidx
-        + [dbl] * 5             # p0..p4 (rows per instance)
-        + [dbl] * 5             # state, mode_coef, mode_state, noise, act
-        + [dbl] * 5             # the five output waveform matrices
-    )
-    run._batch = lib.run_program_batch
-
     run._lib = lib  # keep the CDLL alive alongside the wrapper
     return run
-
-
-def _cc_batch_interpreter() -> Callable:
-    """The C batched entry point (``run_program_batch``), built with the
-    solo interpreter.  Raises :class:`KernelError` when no compiler is
-    on PATH or the build fails; :class:`KernelBatch` then falls back to
-    per-instance solo runs (bit-identical by construction)."""
-    fn = _cc_interpreter()
-    batch = getattr(fn, "_batch", None)
-    if batch is None:  # pragma: no cover - defensive
-        raise KernelError("C batch entry point unavailable")
-    return batch
 
 
 def _cc_interpreter() -> Callable:

@@ -1,10 +1,9 @@
 """Columnar (structure-of-arrays) batch engine for the fused kernel.
 
-The PR-4 row-major batch (``run_program_batch`` in
-:mod:`~repro.engine.kernel`) partitions *instances* across pthreads and
-walks each instance's program independently — on narrow batches or
-few-core boxes that leaves the vector units idle and loses to serial
-fused runs.  This module turns the batch inside out:
+Run one by one, a batch's instances each walk their program
+independently (``KernelBatch`` does this for narrow batches, its solo
+fused runs spread over the batch's threads), which leaves the vector
+units idle.  This module turns a wide batch inside out:
 
 * every per-instance block (params, state, mode coefficients, noise,
   actuator constants, outputs) is **transposed** to structure-of-arrays
@@ -39,7 +38,7 @@ bit-for-bit — in practice the C engine preserves the exact per-sample
 operation order and lands bit-identical on this machine, but SIMD
 codegen freedom is part of the engine's contract, so its golden suite
 (``tests/engine/test_kernel_columnar.py``) pins tolerances instead.
-The existing fused/interp backends and the row batch keep the
+The existing fused/interp backends and the solo batch path keep the
 bit-identity contract untouched.
 """
 

@@ -23,10 +23,8 @@ rather than being asserted.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,13 +39,12 @@ from ..circuits.phase import PhaseLead
 from ..circuits.signal import Signal
 from ..circuits.vga import VariableGainAmplifier
 from ..engine.kernel import (
-    MAX_BATCH_THREADS,
     FusedLoopKernel,
     KernelBatch,
     ModeLowering,
     batch_signature,
-    kernel_batch_threads,
     lower_block,
+    map_sliced,
     record_fallback,
     resolve_backend,
 )
@@ -160,58 +157,6 @@ class _PreparedRun:
         else:
             noise = _memoized_bridge_noise(*self.noise_request)
         return replace(self, bridge_noise=noise)
-
-
-#: One long-lived pool for batch noise synthesis, created on first use
-#: and re-created in a forked child (whose inherited pool has no live
-#: threads).  A pool per call would land every fresh thread in another
-#: malloc arena, which the kernel's raised trim threshold then keeps
-#: resident: long-lived threads keep the arena count, and RSS, flat.
-_NOISE_POOL: ThreadPoolExecutor | None = None
-_NOISE_POOL_PID: int | None = None
-_NOISE_POOL_LOCK = threading.Lock()
-
-
-def _noise_pool() -> ThreadPoolExecutor:
-    global _NOISE_POOL, _NOISE_POOL_PID
-    with _NOISE_POOL_LOCK:
-        if _NOISE_POOL is None or _NOISE_POOL_PID != os.getpid():
-            _NOISE_POOL = ThreadPoolExecutor(
-                max_workers=MAX_BATCH_THREADS, thread_name_prefix="repro-noise"
-            )
-            _NOISE_POOL_PID = os.getpid()
-        return _NOISE_POOL
-
-
-def _with_noise_batch(
-    preps: list[_PreparedRun], threads: int | None
-) -> list[_PreparedRun]:
-    """Synthesize a batch's bridge noise on the batch's thread budget.
-
-    ``kernel_batch_threads(threads, len(preps))`` strided slices: the
-    caller runs the first, the shared pool the rest (NumPy's FFTs
-    release the GIL, so slices overlap).  One thread runs inline and
-    starts none.  Every realization is a pure function of its request,
-    so the result does not depend on the slicing.
-    """
-    t = kernel_batch_threads(threads, len(preps))
-    if t == 1:
-        return [p.with_noise() for p in preps]
-    out: list[_PreparedRun | None] = [None] * len(preps)
-
-    def fill(start: int) -> None:
-        for k in range(start, len(preps), t):
-            out[k] = preps[k].with_noise()
-
-    pool = _noise_pool()
-    futures = [pool.submit(fill, s) for s in range(1, t)]
-    try:
-        fill(0)
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
-    return out
 
 
 class ResonantFeedbackLoop:
@@ -583,10 +528,11 @@ def run_batch(
 
     Loops whose chains lower to the same program *shape* (see
     :func:`~repro.engine.kernel.batch_signature`) are grouped into one
-    :class:`~repro.engine.kernel.KernelBatch` — a single compiled call,
-    pthread-partitioned across instances — so a whole sweep pays one
-    ctypes dispatch instead of N.  Every record is bit-identical
-    (``np.array_equal``) to the loop's solo fused run.
+    :class:`~repro.engine.kernel.KernelBatch` — one columnar call for a
+    wide group, the solo fused runs spread over the batch's threads for
+    a narrow one.  Every record of a narrow group is bit-identical
+    (``np.array_equal``) to the loop's solo fused run; a wide group
+    keeps the columnar tolerance contract (``docs/FASTPATH.md``).
 
     Loops are prepared and lowered on the caller's thread in loop order
     (so ``kernel.lower`` fault polls keep their order); then the bridge
@@ -609,11 +555,11 @@ def run_batch(
         Loop backend; ``"auto"``/``"fused"`` batch through the kernel,
         anything else runs each loop solo through :meth:`run`.
     threads:
-        Threads for the noise synthesis and the batched C call
+        Threads for the noise synthesis and the batch's kernel runs
         (default: CPU count, capped by the ``REPRO_KERNEL_THREADS``
         environment variable — see ``docs/FASTPATH.md`` on
-        double-parallelism).  One thread synthesizes inline and starts
-        no thread; more use one long-lived process-wide pool.
+        double-parallelism).  One thread runs inline and starts no
+        thread; more use one long-lived process-wide pool.
 
     Loops that cannot lower (patched ``step``, custom actuators, noisy
     amplifiers) fall back *per instance* to the reference path with the
@@ -653,7 +599,8 @@ def run_batch(
             groups.setdefault(batch_signature(kernels[i]), []).append(i)
 
     live = [i for i, prep in enumerate(preps) if prep is not None]
-    for i, prep in zip(live, _with_noise_batch([preps[i] for i in live], threads)):
+    noisy = map_sliced(_PreparedRun.with_noise, [preps[i] for i in live], threads)
+    for i, prep in zip(live, noisy):
         preps[i] = prep
 
     for indices in groups.values():

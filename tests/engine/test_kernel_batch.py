@@ -79,9 +79,8 @@ class TestClosedLoopBatch:
             for length in LENGTHS
         ]
         reset_kernel_info()
-        # threads=2 keeps the row engine selected on a 1-CPU box (the
-        # decline heuristic only fires for narrow batches at 1 thread;
-        # pinned in tests/engine/test_kernel_columnar.py)
+        # threads=2: the narrow batch's solo runs use the batch pool
+        # even on a 1-CPU box
         records = run_batch(
             [build_loop(length) for length in LENGTHS], DURATION, threads=2
         )
@@ -131,7 +130,7 @@ class TestClosedLoopBatch:
         run_batch(loops, DURATION, threads=2)
         for loop in loops:
             assert loop.last_kernel_info is not None
-            assert loop.last_kernel_info.engine == "cc-batch"
+            assert loop.last_kernel_info.engine == "cc"
 
     def test_reference_backend_bypasses_batching(self):
         reset_kernel_info()
@@ -247,7 +246,7 @@ class TestBatchNoiseSynthesis:
         loops = [build_loop(length) for length in LENGTHS]
         loop_mod._NOISE_MEMO.clear()
         monkeypatch.setenv(KERNEL_THREADS_ENV, "1")
-        monkeypatch.setattr(loop_mod, "_noise_pool", no_pool)
+        monkeypatch.setattr(kernel_mod, "_batch_pool", no_pool)
         monkeypatch.setattr(threading.Thread, "start", no_start)
         records = run_batch(loops, DURATION, threads=4)
         for length, solo, rec in zip(LENGTHS, solos, records):
@@ -256,8 +255,8 @@ class TestBatchNoiseSynthesis:
     def test_forked_child_does_not_reuse_the_parent_pool(self):
         run_batch([build_loop(length) for length in LENGTHS], DURATION,
                   threads=2)
-        assert loop_mod._NOISE_POOL is not None
-        assert loop_mod._NOISE_POOL_PID == os.getpid()
+        assert kernel_mod._BATCH_POOL is not None
+        assert kernel_mod._BATCH_POOL_PID == os.getpid()
 
         ctx = multiprocessing.get_context("fork")
         receiver, sender = ctx.Pipe(duplex=False)
@@ -297,6 +296,82 @@ class TestBatchNoiseSynthesis:
         with pytest.raises(RuntimeError, match="noise synthesis failed"):
             run_batch([build_loop(length) for length in NOISE_GRID[:6]],
                       DURATION, threads=threads)
+
+
+class TestSoloFanOut:
+    """A narrow batch runs each instance's solo fused run on the batch's
+    threads: the caller takes one strided slice, the batch pool the
+    rest, and every record is the solo record."""
+
+    @pytest.fixture(autouse=True)
+    def _unforced(self, monkeypatch):
+        monkeypatch.delenv(KERNEL_THREADS_ENV, raising=False)
+        monkeypatch.delenv(COLUMNAR_ENV, raising=False)
+
+    def test_solo_runs_fan_out_over_the_pool(self, monkeypatch):
+        solos = [build_loop(length).run(DURATION) for length in LENGTHS]
+        real = kernel_mod.FusedLoopKernel.run
+        names = []
+        lock = threading.Lock()
+
+        def recording_run(self, *args, **kwargs):
+            with lock:
+                names.append(threading.current_thread().name)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(kernel_mod.FusedLoopKernel, "run", recording_run)
+        records = run_batch([build_loop(length) for length in LENGTHS],
+                            DURATION, threads=2)
+        caller = threading.current_thread().name
+        assert len(names) == len(LENGTHS)
+        assert names.count(caller) == 2  # slice 0: instances 0 and 2
+        assert [n for n in names if n != caller][0].startswith("repro-batch")
+        for length, solo, rec in zip(LENGTHS, solos, records):
+            assert_records_equal(solo, rec, f"fan-out[{length}]")
+
+    def test_every_batch_counts_in_one_family(self):
+        reset_kernel_info()
+        run_batch([build_loop(length) for length in LENGTHS], 0.002,
+                  threads=2)
+        info = kernel_info()
+        assert info.batch_declined == 1
+        assert f"{len(LENGTHS)} instances" in info.last_decline_reason
+        run_batch([build_loop(length)
+                   for length in np.linspace(170.0, 230.0, 8)], 0.002)
+        info = kernel_info()
+        assert info.batch_runs == 2
+        assert info.batch_columnar_runs + info.batch_declined == 2
+        assert info.batch_instances == len(LENGTHS) + 8
+        assert info.batch_row_runs == 0
+
+
+class TestKernelCounters:
+    def test_concurrent_records_lose_no_update(self):
+        reset_kernel_info()
+        calls, n_threads = 20000, 8
+        bias = (kernel_mod.OP_BIAS,)
+
+        def hammer():
+            for _ in range(calls):
+                kernel_mod.record_run("fused", 1, 0.0)
+                kernel_mod.record_op_profile(bias, 1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer)
+                       for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        info = kernel_info()
+        assert info.runs["fused"] == calls * n_threads
+        assert info.total_samples == calls * n_threads
+        assert info.op_samples["BIAS"] == calls * n_threads
 
 
 class TestKernelBatchValidation:
@@ -558,11 +633,10 @@ class TestLoopSweepTaskPlanner:
         for key in serial.columns:
             assert serial.columns[key] == batched.columns[key]
         info = kernel_info()
-        # one batch either way: a row batch when threads are available,
-        # or the decline heuristic running it serial fused (1-CPU box)
-        assert info.batch_runs + info.batch_declined == 1
-        if info.batch_runs:
-            assert info.batch_instances == len(LENGTHS)
+        # one narrow batch: its instances ran solo fused
+        assert info.batch_runs == 1
+        assert info.batch_declined == 1
+        assert info.batch_instances == len(LENGTHS)
 
     def test_warm_cache_skips_the_batch(self, tmp_path):
         from repro.engine import TieredCache

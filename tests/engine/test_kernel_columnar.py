@@ -8,7 +8,7 @@ suite pins that contract across reference-spec variants, liquids,
 modes, noise on/off, multimode stacks, heterogeneous durations,
 per-instance lowering fallbacks, the no-compiler NumPy twin, and a
 property-based sweep — plus the ``auto`` engine-resolution order, the
-batch-declined heuristic (bit-exact serial fused), and the
+declined narrow batch (bit-exact solo fused runs), and the
 profile/fusion counters surfaced through ``kernel_info()`` and
 ``repro health``.
 """
@@ -29,10 +29,8 @@ from repro.config import REFERENCE_RESONANT_SENSOR
 from repro.core import ResonantCantileverSensor
 from repro.engine import (
     BATCH_AUTO_ORDER,
-    BATCH_DECLINE_MIN_SAMPLES,
     BATCH_ENGINES,
     COLUMNAR_ENV,
-    COLUMNAR_MIN_ENV,
     KernelBatch,
     cc_available,
     kernel_info,
@@ -276,9 +274,8 @@ class TestEngineSelection:
     """``auto`` resolution order, env gates, and the declined pin."""
 
     def test_batch_engines_pinned(self):
-        assert BATCH_ENGINES == ("auto", "columnar", "row")
-        assert BATCH_AUTO_ORDER == ("columnar:cc", "row:cc", "fused:solo")
-        assert BATCH_DECLINE_MIN_SAMPLES == 8192
+        assert BATCH_ENGINES == ("auto", "columnar")
+        assert BATCH_AUTO_ORDER == ("columnar:cc", "fused:solo")
 
     def test_unknown_engine_raises(self):
         kern, prep = lowered(build_loop())
@@ -289,7 +286,6 @@ class TestEngineSelection:
     @needs_cc
     def test_wide_auto_batch_selects_columnar(self, monkeypatch):
         monkeypatch.delenv(COLUMNAR_ENV, raising=False)
-        monkeypatch.delenv(COLUMNAR_MIN_ENV, raising=False)
         loops = [build_loop(length) for length in np.linspace(170, 230, 8)]
         reset_kernel_info()
         run_batch(loops, 0.002)
@@ -298,19 +294,6 @@ class TestEngineSelection:
         assert info.batch_row_runs == 0
         for loop in loops:
             assert loop.last_kernel_info.engine.startswith("cc-columnar")
-
-    @needs_cc
-    def test_columnar_min_env_gates_auto(self, monkeypatch):
-        monkeypatch.delenv(COLUMNAR_ENV, raising=False)
-        monkeypatch.setenv(COLUMNAR_MIN_ENV, "99")
-        loops = [build_loop(length) for length in np.linspace(170, 230, 8)]
-        reset_kernel_info()
-        # 0.002 s keeps every instance under BATCH_DECLINE_MIN_SAMPLES,
-        # so a 1-thread box routes to the row engine, not "declined"
-        run_batch(loops, 0.002)
-        info = kernel_info()
-        assert info.batch_columnar_runs == 0
-        assert info.batch_runs == 1
 
     @needs_cc
     def test_env_off_disables_columnar(self, monkeypatch):
@@ -322,25 +305,21 @@ class TestEngineSelection:
 
     @needs_cc
     def test_batch_declined_runs_serial_fused(self, monkeypatch):
-        """Narrow batch of long programs at 1 thread: serial fused,
-        bit-exact, counted in ``batch_declined`` — the regression pin
-        for the overhead heuristic."""
+        """Narrow batch at 1 thread: serial fused, bit-exact, counted in
+        ``batch_declined``."""
         monkeypatch.delenv(COLUMNAR_ENV, raising=False)
-        monkeypatch.delenv(COLUMNAR_MIN_ENV, raising=False)
         lengths = LENGTHS[:3]
         solos = [
             build_loop(length).run(DURATION, backend="fused")
             for length in lengths
         ]
-        assert all(len(s.displacement) >= BATCH_DECLINE_MIN_SAMPLES
-                   for s in solos)
         reset_kernel_info()
         records = run_batch(
             [build_loop(length) for length in lengths], DURATION, threads=1
         )
         info = kernel_info()
         assert info.batch_declined == 1
-        assert info.batch_runs == 0
+        assert info.batch_runs == 1
         assert info.runs.get("fused", 0) == len(lengths)
         for length, solo, rec in zip(lengths, solos, records):
             assert_records_equal(solo, rec, f"declined[{length}]")
