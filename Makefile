@@ -70,13 +70,14 @@ kernel-check:
 # Columnar SoA engine golden suite, both legs: once with the compiler
 # present (compiled engine + specialized megakernels) and once with CC
 # pointed at a *nonexistent* binary under a fresh TMPDIR (no cached .so
-# can hide the failure), which drives every batch through the NumPy
-# twin.  Note CC=/bin/false would not do: the probe only checks that
-# the compiler exists, so a present-but-broken CC exercises the build
-# *failure* path, not the no-compiler path.
+# can hide the failure), which drives every batch, forced columnar
+# ones too, through the solo fused runs.  Note CC=/bin/false would not
+# do: the probe only checks that the compiler exists, so a
+# present-but-broken CC exercises the build *failure* path, not the
+# no-compiler path.
 vector-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_kernel_columnar.py -q
-	@echo "-- no-compiler pass: CC=no-such-compiler, NumPy twin must carry the suite --"
+	@echo "-- no-compiler pass: CC=no-such-compiler, solo fused runs must carry the suite bit for bit --"
 	CC=no-such-compiler TMPDIR=$$(mktemp -d) PYTHONPATH=src $(PYTHON) -m pytest \
 		tests/engine/test_kernel_columnar.py -q
 
@@ -108,12 +109,15 @@ spec-check:
 # or comes back as a flagged degraded channel.  The second pass breaks
 # the C compiler (CC=/bin/false) under a fresh TMPDIR (so no cached .so
 # can hide the failure) and re-runs the golden equivalence suites: the
-# fallback chain must still reproduce every waveform bit-for-bit.
+# fallback chain must still reproduce every waveform bit-for-bit, and a
+# cache filled by a kernel-batch sweep must serve serial and fabric
+# reads the uncached serial bits.
 fault-check:
 	PYTHONPATH=src $(PYTHON) -m pytest tests/engine/test_resilience.py tests/engine/test_cache.py -q
 	@echo "-- no-compiler pass: CC=/bin/false, fallback chain must stay bit-identical --"
 	CC=/bin/false TMPDIR=$$(mktemp -d) PYTHONPATH=src $(PYTHON) -m pytest \
-		tests/engine/test_kernel_equivalence.py tests/engine/test_kernel_batch.py -q \
+		tests/engine/test_kernel_equivalence.py tests/engine/test_kernel_batch.py \
+		tests/engine/test_batch_cache_exactness.py -q \
 		--deselect tests/engine/test_kernel_equivalence.py::TestFusedEngines::test_cc_engine_selected_when_compiler_present \
 		--deselect tests/engine/test_kernel_equivalence.py::TestFusedEngines::test_codegen_engine_matches \
 		--deselect tests/engine/test_kernel_batch.py::TestClosedLoopBatch::test_batch_runs_compiled_engine \

@@ -128,21 +128,19 @@ AUTO_ORDER = ("fused:cc", "fused:codegen")
 
 #: Batch-level engine choices accepted by ``KernelBatch.run(engine=)``.
 #: ``columnar`` is the vectorized structure-of-arrays engine in
-#: :mod:`~repro.engine.kernel_columnar` (its own tolerance contract, see
-#: ``docs/FASTPATH.md``); ``auto`` may also run the instances one by one
-#: through their solo fused runs (bit-identical by construction).
+#: :mod:`~repro.engine.kernel_columnar`; ``auto`` may also run the
+#: instances one by one through their solo fused runs.  Both are
+#: bit-identical to the solo fused runs (``docs/FASTPATH.md``).
 BATCH_ENGINES = ("auto", "columnar")
 
 #: Resolution order of batch ``engine="auto"``: the columnar SoA C
 #: engine when the batch is at least ``COLUMNAR_MIN_INSTANCES`` wide and
 #: the compiler is trusted (or when forced via ``REPRO_COLUMNAR``), else
 #: every instance's solo fused run, fanned out over the batch's threads.
-#: ``auto`` never picks the NumPy columnar twin — it relaxes
-#: bit-exactness and is only reachable by explicit request.
 BATCH_AUTO_ORDER = ("columnar:cc", "fused:solo")
 
 #: ``REPRO_COLUMNAR=1`` forces the columnar batch engine everywhere
-#: (degrading to its NumPy twin without a compiler);
+#: (degrading to the solo fused runs without a usable compiler);
 #: ``REPRO_COLUMNAR=0`` disables it.  Unset: the auto heuristic.
 COLUMNAR_ENV = "REPRO_COLUMNAR"
 
@@ -386,7 +384,7 @@ class KernelInfo:
     #: Every batch run counts in exactly one of ``batch_declined`` (its
     #: instances ran one by one through solo fused; the reason says
     #: why: too narrow, ``REPRO_COLUMNAR=0``, or no columnar C engine)
-    #: and ``batch_columnar_runs`` (SoA C engine or its NumPy twin).
+    #: and ``batch_columnar_runs`` (the columnar SoA C engine).
     batch_declined: int = 0
     last_decline_reason: str | None = None
     batch_columnar_runs: int = 0
@@ -497,17 +495,16 @@ def record_batch(
 ) -> None:
     """Account one batched kernel call (:class:`KernelBatch` internal).
 
-    ``engine`` is the batch machinery that dispatched:
-    ``"columnar"``/``"columnar-np"``, or ``"solo"`` (every instance
-    through its solo fused run, also counted by
-    :func:`record_batch_declined`).
+    ``engine`` is the batch machinery that dispatched: ``"columnar"``
+    (the SoA C engine), or ``"solo"`` (every instance through its solo
+    fused run, also counted by :func:`record_batch_declined`).
     """
     with _STATS_LOCK:
         _STATS["batch_runs"] += 1
         _STATS["batch_instances"] += int(n_instances)
         _STATS["last_batch_threads"] = int(threads)
         _STATS["last_batch_engine"] = str(engine)
-        if engine in ("columnar", "columnar-np"):
+        if engine == "columnar":
             _STATS["batch_columnar_runs"] += 1
         if run_seconds > 0.0 and total_samples:
             _STATS["last_samples_per_second"] = total_samples / run_seconds
@@ -1053,13 +1050,14 @@ class KernelBatch:
         input order.
 
         ``engine="columnar"`` (or ``REPRO_COLUMNAR=1``) runs the
-        vectorized structure-of-arrays engine (within-tolerance
-        contract — see ``docs/FASTPATH.md``).  ``"auto"`` follows
-        :data:`BATCH_AUTO_ORDER`: columnar when the batch is at least
-        :data:`COLUMNAR_MIN_INSTANCES` wide and the C engine is
-        trusted, otherwise every instance's solo fused run
-        (bit-identical) in ``kernel_batch_threads(threads, n)`` strided
-        slices, counted in ``kernel_info().batch_declined``.
+        vectorized structure-of-arrays engine whatever the width.
+        ``"auto"`` follows :data:`BATCH_AUTO_ORDER`: columnar when the
+        batch is at least :data:`COLUMNAR_MIN_INSTANCES` wide.  When
+        columnar is not chosen, or its C engine is not usable, every
+        instance runs its solo fused run in
+        ``kernel_batch_threads(threads, n)`` strided slices, counted in
+        ``kernel_info().batch_declined``.  Either way every result is
+        bit-identical to the instance's solo fused run.
         """
         if engine not in BATCH_ENGINES:
             raise KernelError(
@@ -1068,19 +1066,19 @@ class KernelBatch:
             )
         threads_used = kernel_batch_threads(threads, self.n_instances)
         override = _columnar_override()
-        if engine == "columnar" or override is True:
-            return self._run_columnar(threads_used, explicit=True)
-        if override is False:
-            reason = f"disabled by {COLUMNAR_ENV}=0"
-        elif self.n_instances < COLUMNAR_MIN_INSTANCES:
-            reason = (
-                f"{self.n_instances} instances < {COLUMNAR_MIN_INSTANCES}"
-            )
-        else:
-            results = self._run_columnar(threads_used, explicit=False)
+        if engine == "columnar" or override is True or (
+            override is None and self.n_instances >= COLUMNAR_MIN_INSTANCES
+        ):
+            results = self._run_columnar(threads_used)
             if results is not None:
                 return results
             reason = "columnar C engine unavailable"
+        elif override is False:
+            reason = f"disabled by {COLUMNAR_ENV}=0"
+        else:
+            reason = (
+                f"{self.n_instances} instances < {COLUMNAR_MIN_INSTANCES}"
+            )
         results = map_sliced(
             lambda i: self.kernels[i].run(
                 self.ns[i], self.noises[i], backend="fused"
@@ -1092,16 +1090,13 @@ class KernelBatch:
         return results
 
     def _run_columnar(
-        self, threads_used: int, explicit: bool
+        self, threads_used: int
     ) -> list[KernelRunResult] | None:
         """Dispatch through the columnar SoA engine.
 
         Returns ``None`` when the compiled columnar engine is
-        unavailable and the request was implicit (``auto``) — the
-        caller then degrades to the bit-identical solo runs.  An
-        explicit request (``engine="columnar"`` / ``REPRO_COLUMNAR=1``)
-        falls back to the NumPy columnar twin instead, keeping the
-        columnar tolerance contract rather than silently switching it.
+        unavailable (no compiler, failed build, quarantine) — the
+        caller then runs the instances through their solo fused runs.
         """
         from . import kernel_columnar
 
@@ -1119,19 +1114,15 @@ class KernelBatch:
                     breaker.record_failure(str(err))
                     record_degrade(str(err))
                     logger.warning(
-                        "columnar C engine unavailable (%s); using %s",
-                        err, "NumPy twin" if explicit else "solo fused runs",
+                        "columnar C engine unavailable (%s); "
+                        "using solo fused runs", err,
                     )
             else:
                 record_degrade(blocked)
                 logger.info("columnar C engine skipped (%s)", blocked)
-        if fn is not None:
-            return kernel_columnar.run_columnar_cc(
-                self, fn, threads_used, timer
-            )
-        if explicit:
-            return kernel_columnar.run_columnar_numpy(self, timer)
-        return None
+        if fn is None:
+            return None
+        return kernel_columnar.run_columnar_cc(self, fn, threads_used, timer)
 
 
 # -- code generation ---------------------------------------------------------------
@@ -1485,10 +1476,7 @@ def _cc_cache_dir() -> str:
     )
 
 
-def _cc_compile_so(
-    source: str, flags: Sequence[str], stem: str,
-    libs: Sequence[str] = ("-lm",),
-) -> ctypes.CDLL:
+def _cc_compile_so(source: str, flags: Sequence[str], stem: str) -> ctypes.CDLL:
     """Compile a C source to a sha-keyed cached ``.so`` and dlopen it.
 
     The shared object lands in the per-user cache directory keyed by
@@ -1499,7 +1487,7 @@ def _cc_compile_so(
     this machinery.  Raises :class:`KernelError` on build failure.
     """
     digest = hashlib.sha256(
-        (source + " ".join(flags) + " ".join(libs)).encode()
+        (source + " ".join(flags)).encode()
     ).hexdigest()[:16]
     cache_dir = _cc_cache_dir()
     os.makedirs(cache_dir, mode=0o700, exist_ok=True)
@@ -1511,7 +1499,7 @@ def _cc_compile_so(
             fh.write(source)
         try:
             subprocess.run(
-                [_CC, *flags, "-o", tmp_so, c_path, *libs],
+                [_CC, *flags, "-o", tmp_so, c_path, "-lm"],
                 check=True, capture_output=True, text=True, timeout=120,
             )
         except (subprocess.SubprocessError, OSError) as err:

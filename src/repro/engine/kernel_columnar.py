@@ -13,33 +13,26 @@ units idle.  This module turns a wide batch inside out:
   instances inner**: each :class:`~repro.engine.kernel.KernelOp`
   becomes one fixed-body ``for (k)`` sweep over the instance axis that
   the compiler auto-vectorizes (``-O3``, IEEE-strict: no fast-math,
-  ``-ffp-contract=off`` so no FMA contraction; ``tanh`` stays the
-  scalar libm call);
+  ``-ffp-contract=off`` so no FMA contraction; ``tanh`` is the scalar
+  libm call in every build);
 * heterogeneous durations are handled by sorting instances by
   descending sample count — the *active prefix* shrinks as samples pass
   each instance's end, so every inner sweep stays contiguous;
 * a **profile-guided fusion pass** (:func:`build_plan`) rewrites the
   op list into plan segments once a program shape is hot
   (``kernel_info().op_samples`` / the per-shape profile): consecutive
-  SOS biquads fuse into a single-pass two-section sweep (bit-preserving
-  — the per-sample arithmetic order is unchanged), and, opt-in via
-  ``REPRO_COLUMNAR_FUSION=affine``, runs of GAIN/BIAS ops fold into one
-  ``v = a*v + b`` sweep (re-associates rounding — tolerance-relaxing).
-  Decisions are recorded in ``kernel_info().fusion_decisions``;
-* without a C compiler the same SoA program runs through a vectorized
-  **NumPy twin** (:func:`run_columnar_numpy`) — identical semantics, no
-  build step, used when the columnar engine is explicitly requested on
-  a compiler-less box.
+  SOS biquads fuse into a single-pass two-section sweep and the whole
+  chain is code-generated into a shape-specialized kernel, both with
+  the per-sample arithmetic order unchanged.  Decisions are recorded
+  in ``kernel_info().fusion_decisions``.
 
-Contract: columnar results agree with solo fused runs **within
-tolerance** (``np.allclose`` with the pinned ``RTOL``/``ATOL_SCALE``
-below; max-ulp distance reported by :func:`max_ulp_distance`), not
-bit-for-bit — in practice the C engine preserves the exact per-sample
-operation order and lands bit-identical on this machine, but SIMD
-codegen freedom is part of the engine's contract, so its golden suite
-(``tests/engine/test_kernel_columnar.py``) pins tolerances instead.
-The existing fused/interp backends and the solo batch path keep the
-bit-identity contract untouched.
+Contract: every waveform of every instance is bit-identical
+(``np.array_equal``) to the instance's solo fused run, like every
+other batch path — the golden suite
+(``tests/engine/test_kernel_columnar.py``) pins it.  Without a C
+compiler there is no columnar engine:
+:class:`~repro.engine.kernel.KernelBatch` runs the instances through
+their solo fused runs.
 """
 
 from __future__ import annotations
@@ -82,54 +75,24 @@ from .kernel import (
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "ATOL_SCALE",
     "COLUMNAR_FLAGS",
     "FUSION_DEFAULT_THRESHOLD",
-    "FUSION_ENV",
-    "FUSION_THRESHOLD_ENV",
     "MALLOC_ENV",
-    "RTOL",
     "ColumnarPlan",
     "build_plan",
     "columnar_interpreter",
-    "fusion_mode",
-    "max_ulp_distance",
     "run_columnar_cc",
-    "run_columnar_numpy",
     "specialized_interpreter",
 ]
 
-# -- tolerance contract ------------------------------------------------------------
-#
-# The columnar golden suite asserts, per waveform column::
-#
-#     np.allclose(ref, col, rtol=RTOL, atol=ATOL_SCALE * max(1e-300, |ref|.max()))
-#
-# i.e. a relative tolerance plus an absolute floor scaled to the
-# column's own peak (waveform units span volts to nanometres, so a
-# fixed atol would be meaningless).  max_ulp_distance() is reported
-# alongside for forensics.  BENCH_sweep.json records the same flags.
-
-RTOL = 1e-9
-ATOL_SCALE = 1e-12
-
-# -- fusion pass knobs -------------------------------------------------------------
-
-#: ``off`` disables the fusion pass; ``safe`` (default) applies only
-#: bit-preserving rewrites (fused SOS pairs); ``affine`` additionally
-#: folds GAIN/BIAS runs into one a*v+b sweep (re-associated rounding —
-#: within-tolerance, never default).
-FUSION_ENV = "REPRO_COLUMNAR_FUSION"
 #: A program shape must have executed this many instance-samples before
 #: the fusion pass rewrites it (profile-guided: cold shapes run the
-#: plain per-op plan).  Override with REPRO_COLUMNAR_FUSION_THRESHOLD.
+#: plain per-op plan).
 FUSION_DEFAULT_THRESHOLD = 100_000
-FUSION_THRESHOLD_ENV = "REPRO_COLUMNAR_FUSION_THRESHOLD"
 
 # plan-segment opcodes (the C plan interpreter's instruction set)
 PK_OP = 0       # one KernelOp, dispatched by kinds[pa]
-PK_SOS2 = 1     # ops pa, pa+1: two SOS sections in one pass (bit-safe)
-PK_AFFINE = 2   # folded GAIN/BIAS run: v = aff_a[pa]*v + aff_b[pa]
+PK_SOS2 = 1     # ops pa, pa+1: two SOS sections in one pass
 
 # -- allocation reuse --------------------------------------------------------------
 #
@@ -203,50 +166,6 @@ def _tune_malloc() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def fusion_mode() -> str:
-    """The active fusion mode: ``off``, ``safe``, or ``affine``."""
-    env = os.environ.get(FUSION_ENV, "").strip().lower()
-    if env in ("off", "none", "0"):
-        return "off"
-    if env in ("affine", "aggressive"):
-        return "affine"
-    return "safe"
-
-
-def _fusion_threshold() -> int:
-    env = os.environ.get(FUSION_THRESHOLD_ENV, "").strip()
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            logger.warning(
-                "ignoring non-integer %s=%r", FUSION_THRESHOLD_ENV, env
-            )
-    return FUSION_DEFAULT_THRESHOLD
-
-
-def max_ulp_distance(a: np.ndarray, b: np.ndarray) -> int:
-    """Largest ULP distance between two float64 arrays (0 = identical).
-
-    Monotonic integer reinterpretation of IEEE doubles; NaNs in
-    matching positions count as 0, mismatched NaNs as a huge distance.
-    """
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    ia = a.view(np.int64).copy()
-    ib = b.view(np.int64).copy()
-    # map negative floats to a monotonic integer line
-    ia[ia < 0] = np.int64(-(2**63) + 1) - ia[ia < 0]
-    ib[ib < 0] = np.int64(-(2**63) + 1) - ib[ib < 0]
-    nan_a = np.isnan(a)
-    nan_b = np.isnan(b)
-    if np.any(nan_a != nan_b):
-        return 2**62
-    diff = np.abs(ia - ib)
-    diff[nan_a & nan_b] = 0
-    return int(diff.max()) if diff.size else 0
-
-
 # -- the fusion pass (plan builder) ------------------------------------------------
 
 
@@ -254,18 +173,14 @@ def max_ulp_distance(a: np.ndarray, b: np.ndarray) -> int:
 class ColumnarPlan:
     """One program shape rewritten as columnar plan segments.
 
-    ``pk``/``pa`` drive the C plan interpreter; ``aff_a``/``aff_b`` are
-    the folded affine coefficient rows (``(n_aff or 1, n_inst)``);
-    ``segments`` is the human-readable rewrite, and ``fused`` is True
-    when any multi-op segment was emitted.
+    ``pk``/``pa`` drive the C plan interpreter; ``segments`` is the
+    human-readable rewrite, and ``fused`` is True when any multi-op
+    segment was emitted.
     """
 
     pk: np.ndarray
     pa: np.ndarray
-    aff_a: np.ndarray
-    aff_b: np.ndarray
     segments: tuple
-    mode: str
     hot: bool
 
     @property
@@ -273,58 +188,41 @@ class ColumnarPlan:
         return any(kind != "op" for kind, _, _ in self.segments)
 
 
-#: Memoized segment rewrites keyed by (signature, mode, hot) — the
-#: decision is recorded in kernel_info() once per distinct key.
+#: Memoized segment rewrites keyed by (signature, hot) — the decision
+#: is recorded in kernel_info() once per distinct key.
 _SEGMENT_CACHE: dict[tuple, tuple] = {}
 
 
-def _plan_segments(kinds: Sequence[int], mode: str, apply: bool) -> tuple:
+def _plan_segments(kinds: Sequence[int], hot: bool) -> tuple:
     segments: list[tuple] = []
     n = len(kinds)
     j = 0
     while j < n:
-        if apply and kinds[j] == OP_SOS and j + 1 < n and kinds[j + 1] == OP_SOS:
+        if hot and kinds[j] == OP_SOS and j + 1 < n and kinds[j + 1] == OP_SOS:
             segments.append(("sos2", j, 2))
             j += 2
             continue
-        if apply and mode == "affine" and kinds[j] in (OP_GAIN, OP_BIAS):
-            j2 = j
-            while j2 < n and kinds[j2] in (OP_GAIN, OP_BIAS):
-                j2 += 1
-            if j2 - j >= 2:
-                segments.append(("affine", j, j2 - j))
-                j = j2
-                continue
         segments.append(("op", j, 1))
         j += 1
     return tuple(segments)
 
 
-def build_plan(
-    signature: tuple,
-    kinds: Sequence[int],
-    p_cols: Sequence[np.ndarray],
-    n_inst: int,
-) -> ColumnarPlan:
-    """The fusion-pass rewrite of one program shape for one batch.
+def build_plan(signature: tuple, kinds: Sequence[int]) -> ColumnarPlan:
+    """The fusion-pass rewrite of one program shape.
 
     Segment structure is profile-guided and memoized per
-    ``(signature, mode, hot)``; the affine coefficient rows are folded
-    from this batch's (already instance-sorted) parameter columns.
+    ``(signature, hot)``.
     """
-    mode = fusion_mode()
     profile = _k._PROGRAM_PROFILE.get(signature, 0)
-    hot = profile >= _fusion_threshold()
-    apply = mode != "off" and hot
-    key = (signature, mode, hot)
+    hot = profile >= FUSION_DEFAULT_THRESHOLD
+    key = (signature, hot)
     segments = _SEGMENT_CACHE.get(key)
     if segments is None:
-        segments = _plan_segments(kinds, mode, apply)
+        segments = _plan_segments(kinds, hot)
         _SEGMENT_CACHE[key] = segments
         record_fusion_decision({
             "engine": "columnar",
             "n_ops": len(kinds),
-            "mode": mode,
             "hot": hot,
             "profile_samples": int(profile),
             "fused_segments": [
@@ -333,41 +231,12 @@ def build_plan(
             ],
         })
 
-    pk = np.empty(len(segments), dtype=np.int64)
-    pa = np.empty(len(segments), dtype=np.int64)
-    aff_rows_a: list[np.ndarray] = []
-    aff_rows_b: list[np.ndarray] = []
-    for s, (kind, j, ln) in enumerate(segments):
-        if kind == "op":
-            pk[s] = PK_OP
-            pa[s] = j
-        elif kind == "sos2":
-            pk[s] = PK_SOS2
-            pa[s] = j
-        else:  # affine: fold the GAIN/BIAS run into per-instance (a, b)
-            a = np.ones(n_inst)
-            b = np.zeros(n_inst)
-            for jj in range(j, j + ln):
-                if kinds[jj] == OP_GAIN:
-                    g = p_cols[0][jj]
-                    a = a * g
-                    b = b * g
-                else:  # OP_BIAS
-                    b = b + p_cols[0][jj]
-            pk[s] = PK_AFFINE
-            pa[s] = len(aff_rows_a)
-            aff_rows_a.append(a)
-            aff_rows_b.append(b)
-    if aff_rows_a:
-        aff_a = np.ascontiguousarray(np.vstack(aff_rows_a))
-        aff_b = np.ascontiguousarray(np.vstack(aff_rows_b))
-    else:  # never indexed; 1 dummy row keeps the ctypes signature happy
-        aff_a = np.zeros((1, max(1, n_inst)))
-        aff_b = np.zeros((1, max(1, n_inst)))
-    return ColumnarPlan(
-        pk=pk, pa=pa, aff_a=aff_a, aff_b=aff_b,
-        segments=segments, mode=mode, hot=hot,
+    pk = np.array(
+        [PK_SOS2 if kind == "sos2" else PK_OP for kind, _, _ in segments],
+        dtype=np.int64,
     )
+    pa = np.array([j for _, j, _ in segments], dtype=np.int64)
+    return ColumnarPlan(pk=pk, pa=pa, segments=segments, hot=hot)
 
 
 # -- SoA block assembly ------------------------------------------------------------
@@ -455,8 +324,7 @@ def _package(
     per-instance :class:`~repro.engine.kernel.KernelRunResult`\\ s.
 
     ``rows`` are the instance-major ``(n_inst, n_max)`` waveform
-    matrices (transposed in C by ``col_emit_rows``; the NumPy twin
-    transposes on the way in) — each instance's record is a zero-copy
+    matrices (transposed in C) — each instance's record is a zero-copy
     contiguous row slice.
     """
     disp_r, bridge_r, limin_r, limout_r, drive_r = rows
@@ -499,8 +367,7 @@ def _package(
             info=info,
         ))
     record_batch(
-        batch.n_instances, threads_used, total, run_seconds,
-        engine="columnar" if engine.startswith("cc-columnar") else "columnar-np",
+        batch.n_instances, threads_used, total, run_seconds, engine="columnar"
     )
     return results
 
@@ -523,11 +390,9 @@ COLUMNAR_FLAGS = [
 #: Tried first on every columnar build, dropped if the compiler rejects
 #: it.  The ``.so`` cache is per-machine, so ISA tuning is safe — and
 #: it does not change the arithmetic: ``-ffp-contract=off`` keeps FMA
-#: contraction off at any vector width, so the segment sweeps produce
-#: bit-identical results (measured ~25% faster on an AVX2 box).  The
-#: 4-lane libmvec ``tanh`` it unlocks (``_ZGVdN4v_tanh``) drifts a few
-#: ULP from the 2-lane/scalar call — inside the tolerance contract,
-#: like the vector-tanh path itself.
+#: contraction off at any vector width and ``tanh`` stays the scalar
+#: libm call, so the sweeps produce bit-identical results (measured
+#: ~25% faster on an AVX2 box).
 NATIVE_FLAG = "-march=native"
 
 _C_HEADER = """
@@ -549,7 +414,6 @@ typedef struct {
     const long *kinds, *sidx;
     const long *pk, *pa;
     const double *p0, *p1, *p2, *p3, *p4;
-    const double *aff_a, *aff_b;
     double *state;
     const double *mode_coef;
     double *mode_state;
@@ -695,13 +559,6 @@ static void *col_worker(void *argp)
                 }
                 continue;
             }
-            if (a->pk[s] == 2) {            /* PK_AFFINE: folded run */
-                const double *restrict fa = a->aff_a + j*ni;
-                const double *restrict fb = a->aff_b + j*ni;
-                for (long k = lo; k < hi; k++)
-                    v[k] = fa[k]*v[k] + fb[k];
-                continue;
-            }
             /* PK_OP: one primitive, dispatched once per sweep */
             const long kind = a->kinds[j];
             const double *restrict q0 = a->p0 + j*ni;
@@ -827,7 +684,6 @@ void run_columnar(
     const long *pk, const long *pa,
     const double *p0, const double *p1, const double *p2,
     const double *p3, const double *p4,
-    const double *aff_a, const double *aff_b,
     double *state, const double *mode_coef, double *mode_state,
     const double *noise, const double *act, double *vbuf,
     double *noise_sm,
@@ -849,7 +705,7 @@ void run_columnar(
         if (lo >= hi) break;
         col_args a = { lo, hi, n_inst, n_modes, n_plan, n_max, row_stride,
             has_taps,
-            ns, kinds, sidx, pk, pa, p0, p1, p2, p3, p4, aff_a, aff_b,
+            ns, kinds, sidx, pk, pa, p0, p1, p2, p3, p4,
             state, mode_coef, mode_state, noise, act, vbuf, noise_sm,
             out_disp, out_bridge, out_limin, out_limout, out_drive,
             row_disp, row_bridge, row_limin, row_limout, row_drive };
@@ -882,11 +738,10 @@ _C_SOURCE = _C_HEADER + _C_STRUCT + _C_WORKER + _C_ENTRY
 # is a noinline function taking every row as its own ``restrict``
 # parameter — that is what lets GCC vectorize without runtime alias
 # versioning (derived pointers off one base defeat its alias budget).
-# The tanh segment uses glibc's libmvec SIMD ``tanh`` when available
-# (``_ZGVdN4v_tanh`` on AVX2 builds, else ``_ZGVbN2v_tanh`` — a few
-# ULP from scalar libm, inside the columnar tolerance contract);
-# everything else keeps the exact per-sample
-# arithmetic order of the solo interpreter, with clamps rewritten as
+# The tanh segment calls the scalar libm ``tanh`` the solo interpreter
+# calls (a vector ``tanh`` drifts a few ULP from it, which would break
+# bit-identity); everything else keeps the exact per-sample arithmetic
+# order of the solo interpreter, with clamps rewritten as
 # NaN-equivalent ternaries so the bodies stay branch-free.
 #
 # Memory traffic is the specialized path's budget, so it diverges from
@@ -951,45 +806,13 @@ static inline void col_flush8(const double *restrict s,
 }
 static inline void col_sfence(void) { (void)0; }
 #endif
-
-#if defined(COLUMNAR_VEC_TANH) && defined(__x86_64__) && defined(__SSE2__)
-#define COL_VTANH 1
-typedef double v2df __attribute__((vector_size(16)));
-extern v2df _ZGVbN2v_tanh(v2df);
-static inline v2df v2_loadu(const double *p)
-{ v2df r; __builtin_memcpy(&r, p, sizeof r); return r; }
-static inline void v2_storeu(double *p, v2df x)
-{ __builtin_memcpy(p, &x, sizeof x); }
-#ifdef __AVX2__
-typedef double v4df __attribute__((vector_size(32)));
-extern v4df _ZGVdN4v_tanh(v4df);
-static inline v4df v4_loadu(const double *p)
-{ v4df r; __builtin_memcpy(&r, p, sizeof r); return r; }
-static inline void v4_storeu(double *p, v4df x)
-{ __builtin_memcpy(p, &x, sizeof x); }
-#endif
-#endif
 """
 
 _TANH_FUNC = """
 NI static void col_tanhseg(long lo, long hi, double *restrict v,
     const double *restrict q0, const double *restrict q1)
 {
-    long k = lo;
-#if defined(COL_VTANH) && defined(__AVX2__)
-    for (; k + 4 <= hi; k += 4) {
-        v4df lim = v4_loadu(q1 + k);
-        v4df arg = v4_loadu(q0 + k) * v4_loadu(v + k) / lim;
-        v4_storeu(v + k, lim * _ZGVdN4v_tanh(arg));
-    }
-#elif defined(COL_VTANH)
-    for (; k + 2 <= hi; k += 2) {
-        v2df lim = v2_loadu(q1 + k);
-        v2df arg = v2_loadu(q0 + k) * v2_loadu(v + k) / lim;
-        v2_storeu(v + k, lim * _ZGVbN2v_tanh(arg));
-    }
-#endif
-    for (; k < hi; k++)
+    for (long k = lo; k < hi; k++)
         v[k] = q1[k]*tanh(q0[k]*v[k]/q1[k]);
 }
 """
@@ -1003,20 +826,15 @@ def _generate_specialized_source(
     ``run_columnar`` (plan arguments accepted and ignored)."""
 
     # linearize plan segments, splitting the chain at every tanh
-    chains: list[list[tuple]] = [[]]
+    chains: list[list[int]] = [[]]
     tanhs: list[int] = []
-    aff_no = 0
-    for kind, j, ln in segments:
-        if kind == "affine":
-            chains[-1].append(("affine", aff_no))
-            aff_no += 1
-            continue
+    for _, j, ln in segments:
         for jj in range(j, j + ln):
             if kinds[jj] == OP_TANH:
                 tanhs.append(jj)
                 chains.append([])
             else:
-                chains[-1].append(("op", jj))
+                chains[-1].append(jj)
     n_c = len(chains)
     with_v = n_c > 1
 
@@ -1167,15 +985,8 @@ def _generate_specialized_source(
             body += emit_bridge(params)
         else:
             body.append("double x = v[k];")
-        for item in chain:
-            if item[0] == "op":
-                body += emit_op(params, item[1])
-            else:
-                fa = row(params, f"fa{item[1]}",
-                         f"a->aff_a + {item[1]}*ni", True)
-                fb = row(params, f"fb{item[1]}",
-                         f"a->aff_b + {item[1]}*ni", True)
-                body.append(f"x = {fa}[k]*x + {fb}[k];")
+        for jj in chain:
+            body += emit_op(params, jj)
         if t == n_c - 1:
             body += emit_epilogue(params)
         else:
@@ -1301,40 +1112,25 @@ def specialized_interpreter(blocks: "_Blocks", plan: ColumnarPlan):
     """The compiled shape-specialized megakernel, or ``None``.
 
     Built once per (shape, plan) through the same sha-keyed ``.so``
-    cache; tried first with the libmvec vector-``tanh`` path
-    (``-DCOLUMNAR_VEC_TANH -lmvec``) and once more scalar-only if that
-    link fails — each attempt with :data:`NATIVE_FLAG` first, then
-    without.  A failed build is memoized as ``None`` — the generic
-    plan interpreter keeps the batch correct, just slower — and never
-    poisons ``cc_build_error``.
+    cache, with :data:`NATIVE_FLAG` first, then without.  A failed
+    build is memoized as ``None`` — the generic plan interpreter keeps
+    the batch correct, just slower — and never poisons
+    ``cc_build_error``.
     """
     key = (
         tuple(int(k) for k in blocks.kinds),
         tuple(int(s) for s in blocks.sidx),
-        blocks.n_modes, plan.mode, plan.segments,
+        blocks.n_modes, plan.segments,
     )
     if key in _SPECIALIZED:
         return _SPECIALIZED[key]
     if not _k.cc_available():
         return None
-    has_tanh = any(int(k) == OP_TANH for k in blocks.kinds)
-    fn = None
-    vec = False
     try:
         source = _generate_specialized_source(
             blocks.kinds, blocks.sidx, blocks.n_modes, plan.segments
         )
-        if has_tanh:
-            try:
-                fn = _build_so_tuned(
-                    source, [*COLUMNAR_FLAGS, "-DCOLUMNAR_VEC_TANH"],
-                    "columnar-spec", libs=("-lm", "-lmvec"),
-                )
-                vec = True
-            except KernelError:
-                fn = _build_so_tuned(source, COLUMNAR_FLAGS, "columnar-spec")
-        else:
-            fn = _build_so_tuned(source, COLUMNAR_FLAGS, "columnar-spec")
+        fn = _build_so_tuned(source, COLUMNAR_FLAGS, "columnar-spec")
     except KernelError as err:
         logger.info(
             "specialized columnar build failed (generic plan kept): %s", err
@@ -1344,9 +1140,7 @@ def specialized_interpreter(blocks: "_Blocks", plan: ColumnarPlan):
         "engine": "columnar",
         "stage": "specialize",
         "built": fn is not None,
-        "vector_tanh": vec,
         "n_ops": len(key[0]),
-        "mode": plan.mode,
     })
     _SPECIALIZED[key] = fn
     return fn
@@ -1367,20 +1161,17 @@ def _reset_engine() -> None:
         pool.clear()
 
 
-def _build_so(
-    source: str, flags: Sequence[str], stem: str,
-    libs: Sequence[str] = ("-lm",),
-) -> Callable:
+def _build_so(source: str, flags: Sequence[str], stem: str) -> Callable:
     """Compile + wrap one columnar entry point (generic or specialized —
-    both export the same 35-argument ``run_columnar`` signature)."""
-    lib = _k._cc_compile_so(source, list(flags), stem, libs=libs)
+    both export the same 33-argument ``run_columnar`` signature)."""
+    lib = _k._cc_compile_so(source, list(flags), stem)
     dbl = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
     idx = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     lib.run_columnar.restype = None
     lib.run_columnar.argtypes = (
         [ctypes.c_long] * 7     # n_inst, n_threads, n_modes, n_plan, n_max, row_stride, has_taps
         + [idx] * 5             # ns, kinds, sidx, pk, pa
-        + [dbl] * 7             # p0..p4, aff_a, aff_b
+        + [dbl] * 5             # p0..p4
         + [dbl] * 7             # state, mode_coef, mode_state, noise, act, vbuf, noise_sm
         + [dbl] * 5             # the five sample-major waveform scratch matrices
         + [dbl] * 5             # the five instance-major waveform row matrices
@@ -1394,15 +1185,12 @@ def _build_so(
     return run
 
 
-def _build_so_tuned(
-    source: str, flags: Sequence[str], stem: str,
-    libs: Sequence[str] = ("-lm",),
-) -> Callable:
+def _build_so_tuned(source: str, flags: Sequence[str], stem: str) -> Callable:
     """:func:`_build_so` with :data:`NATIVE_FLAG` first, plain retry."""
     try:
-        return _build_so(source, [*flags, NATIVE_FLAG], stem, libs=libs)
+        return _build_so(source, [*flags, NATIVE_FLAG], stem)
     except KernelError:
-        return _build_so(source, flags, stem, libs=libs)
+        return _build_so(source, flags, stem)
 
 
 def _build() -> Callable:
@@ -1416,8 +1204,8 @@ def columnar_interpreter() -> Callable:
     ``kernel.compile`` fault raises per its plan, and a real build
     failure is memoized into the module-wide ``cc_build_error`` (a
     compiler that cannot build one kernel source cannot build the
-    other).  :meth:`KernelBatch.run` degrades to the row path (auto) or
-    the NumPy twin (explicit) on :class:`KernelError`.
+    other).  :meth:`KernelBatch.run` degrades to the solo fused runs on
+    :class:`KernelError`.
     """
     global _COLUMNAR_FN
     if poll_fault("kernel.compile") is not None:
@@ -1441,11 +1229,9 @@ def run_columnar_cc(batch, fn, threads_used: int, timer: StageTimer) -> list:
     """Execute a :class:`~repro.engine.kernel.KernelBatch` through the
     compiled columnar engine (engine tag ``cc-columnar``)."""
     blocks = _assemble(batch)
-    plan = build_plan(
-        batch.signature, list(blocks.kinds), blocks.p_cols, blocks.n_inst
-    )
+    plan = build_plan(batch.signature, list(blocks.kinds))
     engine = "cc-columnar"
-    if plan.hot and plan.mode != "off":
+    if plan.hot:
         with timer.stage("compile"):
             spec = specialized_interpreter(blocks, plan)
         if spec is not None:
@@ -1472,147 +1258,10 @@ def run_columnar_cc(batch, fn, threads_used: int, timer: StageTimer) -> list:
             n_inst, threads_used, blocks.n_modes, len(plan.pk),
             n_max, row_stride, 1 if blocks.has_taps else 0,
             blocks.ns_sorted, blocks.kinds, blocks.sidx, plan.pk, plan.pa,
-            *blocks.p_cols, plan.aff_a, plan.aff_b,
+            *blocks.p_cols,
             blocks.state, blocks.mode_coef, blocks.mode_state,
             blocks.noise, blocks.act, vbuf, noise_sm,
             out_disp, out_bridge, *taps, *rows,
         )
     return _package(batch, blocks, rows, engine, threads_used, timer)
 
-
-# -- the NumPy columnar twin -------------------------------------------------------
-
-
-def run_columnar_numpy(batch, timer: StageTimer) -> list:
-    """The same SoA program executed with vectorized NumPy sweeps.
-
-    No compiler needed: each plan segment is one ufunc expression over
-    the active instance prefix.  Arithmetic mirrors the C engine
-    op-for-op (``np.tanh`` stands in for libm ``tanh`` — same libm on
-    most platforms, but last-ulp drift is inside the columnar tolerance
-    contract either way).  Slow per sample for narrow batches — this is
-    the explicit-request fallback, not an auto path.
-    """
-    blocks = _assemble(batch)
-    plan = build_plan(
-        batch.signature, list(blocks.kinds), blocks.p_cols, blocks.n_inst
-    )
-    n_inst, n_max = blocks.n_inst, blocks.n_max
-    kinds, sidx = blocks.kinds, blocks.sidx
-    p0, p1, p2, p3, p4 = blocks.p_cols
-    state = blocks.state
-    mc, ms = blocks.mode_coef, blocks.mode_state
-    # twin consumes noise per sample: transpose once to sample-major
-    noise, act = np.ascontiguousarray(blocks.noise.T), blocks.act
-    ns_sorted = blocks.ns_sorted
-    n_modes = blocks.n_modes
-    out_disp = np.zeros((n_max, n_inst))
-    out_bridge = np.zeros((n_max, n_inst))
-    if blocks.has_taps:
-        taps = [np.zeros((n_max, n_inst)) for _ in range(3)]
-    else:
-        taps = [np.zeros(1) for _ in range(3)]
-    v = np.empty(n_inst)
-
-    def apply_sos(j, a, va):
-        r = sidx[j]
-        s1, s2 = state[r], state[r + 1]
-        y = p0[j][:a] * va + s1[:a]
-        s1[:a] = p1[j][:a] * va - p3[j][:a] * y + s2[:a]
-        s2[:a] = p2[j][:a] * va - p4[j][:a] * y
-        v[:a] = y
-        return v[:a]
-
-    with timer.stage("run"):
-        active = n_inst
-        for i in range(n_max):
-            while active > 0 and ns_sorted[active - 1] <= i:
-                active -= 1
-            a = active
-            if a == 0:  # pragma: no cover - defensive (n_max = max(ns))
-                break
-            if n_modes == 1:
-                v[:a] = mc[6][:a] * ms[0][:a] + noise[i, :a]
-            else:
-                v[:a] = mc[6][:a] * ms[0][:a]
-                for m in range(1, n_modes):
-                    v[:a] = v[:a] + mc[7 * m + 6][:a] * ms[2 * m][:a]
-                v[:a] = v[:a] + noise[i, :a]
-            out_bridge[i, :a] = v[:a]
-            for s in range(len(plan.pk)):
-                j = int(plan.pa[s])
-                code = int(plan.pk[s])
-                va = v[:a]
-                if code == PK_SOS2:
-                    va = apply_sos(j, a, va)
-                    apply_sos(j + 1, a, va)
-                    continue
-                if code == PK_AFFINE:
-                    v[:a] = plan.aff_a[j][:a] * va + plan.aff_b[j][:a]
-                    continue
-                kind = int(kinds[j])
-                if kind == 2:  # OP_SOS
-                    apply_sos(j, a, va)
-                elif kind == 1:  # OP_GAIN
-                    v[:a] = va * p0[j][:a]
-                elif kind == 0:  # OP_BIAS
-                    v[:a] = va + p0[j][:a]
-                elif kind == 3:  # OP_RC
-                    st = state[sidx[j]]
-                    st[:a] = st[:a] + p0[j][:a] * (va - st[:a])
-                    v[:a] = st[:a]
-                elif kind == 4:  # OP_CLIP
-                    v[:a] = np.minimum(np.maximum(va, p0[j][:a]), p1[j][:a])
-                elif kind == 5:  # OP_TANH
-                    lim = p1[j][:a]
-                    v[:a] = lim * np.tanh(p0[j][:a] * va / lim)
-                elif kind == 6:  # OP_DIFF
-                    st = state[sidx[j]]
-                    y = (va - st[:a]) * p0[j][:a]
-                    st[:a] = va
-                    v[:a] = y
-                elif kind == 7:  # OP_DEADZONE
-                    hi_w, lo_w = p0[j][:a], p1[j][:a]
-                    inside = (va <= hi_w) & (va >= lo_w)
-                    v[:a] = np.where(
-                        inside, 0.0, np.where(va > 0.0, va - hi_w, va - lo_w)
-                    )
-                elif kind == 8:  # OP_SLEW
-                    st = state[sidx[j]]
-                    y = va - st[:a]
-                    res = np.where(
-                        y > p0[j][:a], st[:a] + p0[j][:a],
-                        np.where(y < p1[j][:a], st[:a] + p1[j][:a], va),
-                    )
-                    v[:a] = res
-                    st[:a] = res
-                elif kind == 9:  # OP_LATCH
-                    state[sidx[j]][:a] = va
-                elif kind == 10:  # OP_TAP_LIMIN
-                    taps[0][i, :a] = va
-                elif kind == 11:  # OP_TAP_LIMOUT
-                    taps[1][i, :a] = va
-                else:  # OP_TAP_DRIVE
-                    taps[2][i, :a] = va
-            cur = v[:a] / act[0][:a]
-            cur = np.minimum(cur, act[1][:a])
-            cur = np.maximum(cur, -act[1][:a])
-            f = act[2][:a] * cur
-            for m in range(n_modes):
-                b = 7 * m
-                mx, mv = ms[2 * m], ms[2 * m + 1]
-                x0 = mx[:a].copy()
-                v0 = mv[:a].copy()
-                mx[:a] = mc[b][:a] * x0 + mc[b + 1][:a] * v0 + mc[b + 4][:a] * f
-                mv[:a] = mc[b + 2][:a] * x0 + mc[b + 3][:a] * v0 \
-                    + mc[b + 5][:a] * f
-            out_disp[i, :a] = ms[0][:a]
-        rows = [
-            np.ascontiguousarray(out_disp.T),
-            np.ascontiguousarray(out_bridge.T),
-        ]
-        if blocks.has_taps:
-            rows += [np.ascontiguousarray(t.T) for t in taps]
-        else:
-            rows += taps
-    return _package(batch, blocks, rows, "columnar-np", 1, timer)

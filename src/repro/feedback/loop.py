@@ -530,9 +530,8 @@ def run_batch(
     :func:`~repro.engine.kernel.batch_signature`) are grouped into one
     :class:`~repro.engine.kernel.KernelBatch` — one columnar call for a
     wide group, the solo fused runs spread over the batch's threads for
-    a narrow one.  Every record of a narrow group is bit-identical
-    (``np.array_equal``) to the loop's solo fused run; a wide group
-    keeps the columnar tolerance contract (``docs/FASTPATH.md``).
+    a narrow one.  Every record is bit-identical (``np.array_equal``) to
+    the loop's solo fused run (``docs/FASTPATH.md``).
 
     Loops are prepared and lowered on the caller's thread in loop order
     (so ``kernel.lower`` fault polls keep their order); then the bridge

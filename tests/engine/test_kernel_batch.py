@@ -201,9 +201,9 @@ class TestBatchNoiseSynthesis:
     """Noise synthesized on the batch's threads is the solo noise."""
 
     @pytest.fixture(autouse=True)
-    def _exact_batch_engines(self, monkeypatch):
-        # no thread ceiling; and no columnar engine, whose contract is
-        # rtol 1e-9 rather than bit-exact (auto picks it at 8+ loops)
+    def _solo_slices(self, monkeypatch):
+        # no thread ceiling; and the solo path at every width (auto
+        # picks columnar at 8+ loops): its slices are the threads raced
         monkeypatch.delenv(KERNEL_THREADS_ENV, raising=False)
         monkeypatch.setenv(COLUMNAR_ENV, "0")
 
